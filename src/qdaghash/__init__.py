@@ -36,6 +36,7 @@ from .index import (
     IndexRecord,
     MatchResult,
     classify_runtime,
+    require_compatible,
 )
 from .ingest import (
     Corpus,
@@ -48,15 +49,8 @@ from .ingest import (
     resolve_reuse_references,
 )
 from .ngrams import NGramConfig, ngrams, node_hashes_ngram, node_signature_ngram, normalize_fact
-from .operators import REGISTRY_VERSION, OperatorRegistry, default_registry, operator_code
-from .qdag import (
-    PlanNode,
-    QDag,
-    StructuralProfile,
-    reverse_edges,
-    structural_profile,
-    validate_dag,
-)
+from .operators import REGISTRY_VERSION, OperatorRegistry, default_registry
+from .qdag import PlanNode, QDag, StructuralProfile, structural_profile, validate_dag
 from .simhash import (
     HASH_ALGORITHM_ID,
     WeightedHash,

@@ -9,28 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import (
-    ConfigMismatch,
-    CorpusLoadError,
-    InputError,
-    MissingRuntime,
-    QdagHashError,
-)
+from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
 from .evaluate import eval_leave_one_out, render_report_json, render_report_text
-from .features import FEATURE_SCHEMA_VERSION
-from .fingerprint import (
-    APPROACH_NGRAM,
-    APPROACH_STRUCTURED,
-    APPROACHES,
-    FingerprintConfig,
-    fingerprint_document,
-)
-from .index import Index, IndexHeader, IndexRecord
+from .fingerprint import APPROACHES, FingerprintConfig, fingerprint_document
+from .index import Index, IndexHeader, IndexRecord, require_compatible
 from .ingest import PlanDocument, load_corpus, load_plan_file
-from .ngrams import NGramConfig
-from .simhash import HASH_ALGORITHM_ID
 from .synth import default_spec, generate_corpus
 
 
@@ -109,58 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ngram_config_from_args(args: argparse.Namespace) -> NGramConfig:
-    return NGramConfig(
-        n=args.ngram_n if args.ngram_n is not None else 3,
-        strip_ids=not args.keep_ids,
-        collapse_whitespace=not args.no_normalize,
-        dedupe=args.ngram_dedupe,
-    )
-
-
 def _config_from_args(
     args: argparse.Namespace, header: IndexHeader | None = None
 ) -> FingerprintConfig:
-    """Build the fingerprint config from flags, deferring to an index header.
+    """The index header's config (or the defaults) with the given flags applied.
 
-    Explicit flags that contradict the header raise ConfigMismatch; flags
-    left at their defaults inherit the header's configuration.
+    Flags left unset inherit the header; a result that would not fingerprint
+    as the indexed plans were raises ConfigMismatch.
     """
-    if header is None:
-        approach = args.approach or APPROACH_STRUCTURED
-        return FingerprintConfig(approach=approach, ngram=_ngram_config_from_args(args))
-
-    if header.hash_algo != HASH_ALGORITHM_ID:
-        raise ConfigMismatch("hash_algo", header.hash_algo, HASH_ALGORITHM_ID)
-    if args.approach is not None and args.approach != header.approach:
-        raise ConfigMismatch("approach", header.approach, args.approach)
-
-    if header.approach == APPROACH_STRUCTURED:
-        if header.node_config != FEATURE_SCHEMA_VERSION:
-            raise ConfigMismatch(
-                "feature_schema_version", header.node_config, FEATURE_SCHEMA_VERSION
-            )
-        config = FingerprintConfig(approach=APPROACH_STRUCTURED)
-    else:
-        try:
-            ngram = NGramConfig.from_id(header.node_config)
-        except (KeyError, ValueError) as exc:
-            raise ConfigMismatch("ngram_config", header.node_config, str(exc)) from exc
-        if args.ngram_n is not None and args.ngram_n != ngram.n:
-            raise ConfigMismatch("ngram_config", f"n={ngram.n}", f"n={args.ngram_n}")
-        # store_true flags can only conflict in the True direction
-        if args.keep_ids and ngram.strip_ids:
-            raise ConfigMismatch("ngram_config", "strip_ids=1", "--keep-ids")
-        if args.no_normalize and ngram.collapse_whitespace:
-            raise ConfigMismatch("ngram_config", "collapse_ws=1", "--no-normalize")
-        if args.ngram_dedupe and not ngram.dedupe:
-            raise ConfigMismatch("ngram_config", "dedupe=0", "--ngram-dedupe")
-        config = FingerprintConfig(approach=APPROACH_NGRAM, ngram=ngram)
-
-    if header.edge_layout_version != config.edge_layout_version:
-        raise ConfigMismatch(
-            "edge_layout_version", header.edge_layout_version, config.edge_layout_version
-        )
+    base = header.to_config() if header is not None else FingerprintConfig()
+    ngram = replace(
+        base.ngram,
+        n=base.ngram.n if args.ngram_n is None else args.ngram_n,
+        strip_ids=base.ngram.strip_ids and not args.keep_ids,
+        collapse_whitespace=base.ngram.collapse_whitespace and not args.no_normalize,
+        dedupe=base.ngram.dedupe or args.ngram_dedupe,
+    )
+    config = FingerprintConfig(approach=args.approach or base.approach, ngram=ngram)
+    if header is not None:
+        require_compatible(header, config)
     return config
 
 
@@ -178,24 +131,25 @@ def _load_plan(path: str) -> PlanDocument:
 
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    stamp = IndexHeader.for_config(config)
     for path in args.plans:
         doc = _load_plan(path)
         fp = fingerprint_document(doc, config)
         if args.json:
             print(json.dumps({
                 "plan_id": doc.plan_id,
-                "approach": config.approach,
-                "hash_algo": config.hash_algo,
-                "node_config": config.node_config_id(),
-                "edge_layout": config.edge_layout_version,
+                "approach": stamp.approach,
+                "hash_algo": stamp.hash_algo,
+                "node_config": stamp.node_config,
+                "edge_layout": stamp.edge_layout_version,
                 "edge_fp": fp.edge_hex,
                 "node_fp": fp.node_hex,
             }))
         else:
             print(
-                f"plan_id={doc.plan_id} approach={config.approach} "
-                f"hash_algo={config.hash_algo} node_config={config.node_config_id()} "
-                f"edge_layout={config.edge_layout_version} "
+                f"plan_id={doc.plan_id} approach={stamp.approach} "
+                f"hash_algo={stamp.hash_algo} node_config={stamp.node_config} "
+                f"edge_layout={stamp.edge_layout_version} "
                 f"edge_fp={fp.edge_hex} node_fp={fp.node_hex}"
             )
     return 0

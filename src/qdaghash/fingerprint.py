@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .edges import EDGE_LAYOUT_VERSION, edge_signature
-from .features import FEATURE_SCHEMA_VERSION, node_signature_structured
+from .edges import edge_signature
+from .features import node_signature_structured
 from .ingest import PlanDocument
 from .ngrams import NGramConfig, node_signature_ngram
 from .operators import OperatorRegistry, default_registry
 from .qdag import QDag, structural_profile
-from .simhash import HASH_ALGORITHM_ID, MASK64
+from .simhash import MASK64
 
 APPROACH_STRUCTURED = "structured"
 APPROACH_NGRAM = "ngram"
@@ -56,20 +56,6 @@ class FingerprintConfig:
     def __post_init__(self) -> None:
         if self.approach not in APPROACHES:
             raise ValueError(f"unknown approach {self.approach!r}")
-
-    @property
-    def hash_algo(self) -> str:
-        return HASH_ALGORITHM_ID
-
-    @property
-    def edge_layout_version(self) -> str:
-        return EDGE_LAYOUT_VERSION
-
-    def node_config_id(self) -> str:
-        """Feature-schema version or n-gram config, by approach."""
-        if self.approach == APPROACH_STRUCTURED:
-            return FEATURE_SCHEMA_VERSION
-        return self.ngram.config_id()
 
 
 def fingerprint_graph(

@@ -2,8 +2,14 @@
 
 Matching is a linear scan in two steps: first keep the k records closest
 to the probe by edge-signature Hamming distance, then rank those k by
-node-signature distance. Ties break on (edge distance, node distance,
-plan_id), which is a total order, so results are fully deterministic.
+node-signature distance. The top-k cut orders records by (edge distance,
+node distance, plan_id) and the ranking by (node distance, edge distance,
+plan_id); both are total orders, so results are fully deterministic.
+
+The header stamps the configuration every stored fingerprint was computed
+under. IndexHeader.for_config and IndexHeader.to_config map a
+FingerprintConfig to that stamp and back, and require_compatible is the
+one comparison between a stamp and a config.
 
 The index allows many concurrent readers with exclusive writers: mutation
 and snapshot-taking synchronize on one lock, and scans run on snapshots,
@@ -30,8 +36,15 @@ from .errors import (
 )
 from .edges import EDGE_LAYOUT_VERSION
 from .features import FEATURE_SCHEMA_VERSION
-from .fingerprint import APPROACH_STRUCTURED, APPROACHES, Fingerprint128, FingerprintConfig
-from .simhash import hamming
+from .fingerprint import (
+    APPROACH_NGRAM,
+    APPROACH_STRUCTURED,
+    APPROACHES,
+    Fingerprint128,
+    FingerprintConfig,
+)
+from .ngrams import NGramConfig
+from .simhash import HASH_ALGORITHM_ID, hamming
 
 INDEX_FORMAT_VERSION = 1
 
@@ -115,13 +128,28 @@ class IndexHeader:
 
     @classmethod
     def for_config(cls, config: FingerprintConfig) -> "IndexHeader":
+        """The stamp of every input that decides fingerprint bits under config."""
+        if config.approach == APPROACH_STRUCTURED:
+            node_config = FEATURE_SCHEMA_VERSION
+        else:
+            node_config = config.ngram.config_id()
         return cls(
             version=INDEX_FORMAT_VERSION,
-            hash_algo=config.hash_algo,
+            hash_algo=HASH_ALGORITHM_ID,
             approach=config.approach,
-            node_config=config.node_config_id(),
-            edge_layout_version=config.edge_layout_version,
+            node_config=node_config,
+            edge_layout_version=EDGE_LAYOUT_VERSION,
         )
+
+    def to_config(self) -> FingerprintConfig:
+        """The config this header stamps; inverse of for_config."""
+        if self.approach == APPROACH_STRUCTURED:
+            return FingerprintConfig()
+        try:
+            ngram = NGramConfig.from_id(self.node_config)
+        except (KeyError, ValueError) as exc:
+            raise ConfigMismatch("ngram_config", self.node_config, str(exc)) from exc
+        return FingerprintConfig(approach=APPROACH_NGRAM, ngram=ngram)
 
     def to_json_obj(self) -> dict[str, object]:
         obj: dict[str, object] = {
@@ -147,6 +175,27 @@ class IndexHeader:
         )
 
 
+# Header fields whose mismatch makes the stored fingerprints meaningless to
+# this build, so Index.load refuses them. Every other field, hash_algo
+# included, is refused only at use, so such a file stays inspectable.
+_REFUSED_AT_LOAD = ("feature_schema_version", "edge_layout_version")
+
+
+def require_compatible(
+    header: IndexHeader, config: FingerprintConfig, fields: Iterable[str] | None = None
+) -> None:
+    """Raise ConfigMismatch unless config fingerprints as header's index did.
+
+    Compares the header with IndexHeader.for_config(config) key by key in
+    header order (or only the given fields) and names the first key that
+    differs.
+    """
+    got = IndexHeader.for_config(config).to_json_obj()
+    for key, expected in header.to_json_obj().items():
+        if (fields is None or key in fields) and got.get(key) != expected:
+            raise ConfigMismatch(key, expected, got.get(key))
+
+
 class Index:
     """In-memory store of IndexRecords behind a config-stamped header."""
 
@@ -170,24 +219,25 @@ class Index:
         with self._lock:
             return list(self._records.values())
 
+    def _require_approach(self, fingerprint: Fingerprint128) -> None:
+        if fingerprint.approach != self.header.approach:
+            raise ConfigMismatch("approach", self.header.approach, fingerprint.approach)
+
     def add(self, record: IndexRecord) -> None:
         """Insert a record; an existing plan_id is replaced in place."""
-        if record.fingerprint.approach != self.header.approach:
-            raise ConfigMismatch("approach", self.header.approach, record.fingerprint.approach)
+        self._require_approach(record.fingerprint)
         with self._lock:
             self._records[record.plan_id] = record
-
-    def _check_probe(self, probe: Fingerprint128) -> None:
-        if probe.approach != self.header.approach:
-            raise ConfigMismatch("approach", self.header.approach, probe.approach)
 
     def match(
         self, probe: Fingerprint128, k: int = 10, top_n: int | None = None
     ) -> list[MatchResult]:
         """Two-step fuzzy match; returns up to top_n results (default k)."""
-        self._check_probe(probe)
+        self._require_approach(probe)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        if top_n is not None and top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {top_n}")
         records = self.records()
         if not records:
             raise EmptyIndex()
@@ -239,7 +289,11 @@ class Index:
 
     @classmethod
     def load(cls, path: str | Path) -> "Index":
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = exc.object.count(b"\n", 0, exc.start) + 1
+            raise IndexFormatError(line_no, f"not valid UTF-8 at byte {exc.start}") from exc
         lines = text.splitlines()
         if not lines:
             raise IndexFormatError(1, "empty index file")
@@ -252,20 +306,18 @@ class Index:
             raise IndexFormatError(
                 1, f"unsupported index version {header.version} (expected {INDEX_FORMAT_VERSION})"
             )
-        # Indices built under a different feature schema or edge layout can
-        # never be compared against fingerprints from this build; reject
-        # them here. (A foreign hash_algo is rejected at use instead, so the
-        # file itself stays inspectable.)
-        if header.approach == APPROACH_STRUCTURED and header.node_config != FEATURE_SCHEMA_VERSION:
-            raise ConfigMismatch("feature_schema_version", header.node_config, FEATURE_SCHEMA_VERSION)
-        if header.edge_layout_version != EDGE_LAYOUT_VERSION:
-            raise ConfigMismatch("edge_layout_version", header.edge_layout_version, EDGE_LAYOUT_VERSION)
-
         index = cls(header)
+        require_compatible(header, FingerprintConfig(approach=header.approach), _REFUSED_AT_LOAD)
+
+        # Records are parsed under the header's approach, so they skip add()'s check.
+        records = index._records
         for line_no, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
-            index.add(_parse_record_line(line, line_no, header.approach))
+            record = _parse_record_line(line, line_no, header.approach)
+            if record.plan_id in records:
+                raise IndexFormatError(line_no, f"duplicate plan_id {record.plan_id!r}")
+            records[record.plan_id] = record
         return index
 
 

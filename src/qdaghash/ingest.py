@@ -76,13 +76,17 @@ class Corpus:
 # JSON format
 # ---------------------------------------------------------------------------
 
+def _decode_utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not valid UTF-8 at byte {exc.start}") from exc
+
+
 def parse_plan_json(data: bytes | str) -> PlanDocument:
     """Parse one canonical JSON plan document."""
     if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"not valid UTF-8 at byte {exc.start}") from exc
+        data = _decode_utf8(data)
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -465,7 +469,7 @@ def load_plan_file(path: str | Path) -> PlanDocument:
     if p.suffix == ".json":
         doc = parse_plan_json(p.read_bytes())
     elif p.suffix == ".plan":
-        doc = parse_plan_text(p.read_text("utf-8"), plan_id=p.stem)
+        doc = parse_plan_text(_decode_utf8(p.read_bytes()), plan_id=p.stem)
     else:
         raise CorpusLoadError(f"unsupported plan file type: {p.name}")
     return resolve_reuse_references(doc)

@@ -66,8 +66,3 @@ def default_registry() -> OperatorRegistry:
     if _DEFAULT is None:
         _DEFAULT = OperatorRegistry(_load_packaged_table())
     return _DEFAULT
-
-
-def operator_code(name: str, registry: OperatorRegistry | None = None) -> int:
-    """Convenience wrapper over OperatorRegistry.code."""
-    return (registry or default_registry()).code(name)

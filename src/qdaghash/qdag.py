@@ -100,11 +100,6 @@ def validate_dag(graph: QDag) -> QDag:
     return graph
 
 
-def reverse_edges(graph: QDag) -> QDag:
-    """Same nodes, every edge (u, v) flipped to (v, u)."""
-    return QDag(graph.id, graph.nodes, tuple((v, u) for u, v in graph.edges))
-
-
 def structural_profile(graph: QDag) -> StructuralProfile:
     """Compute all five structural maps for a validated graph.
 

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from qdaghash.qdag import PlanNode, QDag
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_src():
+    """Let `python -m qdaghash` children find the package in a checkout.
+
+    pyproject's pytest `pythonpath` reaches only the test process.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
+
 
 OPERATOR_POOL = (
     "Scan",

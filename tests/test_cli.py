@@ -64,13 +64,18 @@ def test_malformed_file_exits_2_and_names_the_file(tmp_path, capsys):
     assert "bad.json" in err
 
 
-def test_bad_k_exits_2(tmp_path, corpus_dir, capsys):
+@pytest.mark.parametrize("command,flag,value", [
+    ("predict", "--k", "0"),
+    ("match", "--top", "-1"),
+    ("match", "--top", "0"),
+])
+def test_bad_k_exits_2(tmp_path, corpus_dir, capsys, command, flag, value):
     index_path = tmp_path / "runs.qdx"
     plans = sorted(corpus_dir.glob("*.json"))[:3]
     run_cli("index", "add", *plans, "--index", index_path)
     capsys.readouterr()
-    assert run_cli("predict", plans[0], "--index", index_path, "--k", "0") == 2
-    assert "k must be" in capsys.readouterr().err
+    assert run_cli(command, plans[0], "--index", index_path, "--k", "3", flag, value) == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_fingerprint_is_byte_identical_across_processes(plan_file):
@@ -134,6 +139,27 @@ def test_contradicting_ngram_flag_rejected(tmp_path, corpus_dir, capsys):
     assert "config mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,code,field", [
+    (["--ngram-n", "4"], 1, "ngram_config"),
+    (["--no-normalize"], 1, "ngram_config"),
+    (["--ngram-dedupe"], 1, "ngram_config"),
+    (["--approach", "structured"], 1, "approach"),
+    (["--ngram-n", "3"], 0, None),
+    (["--approach", "ngram"], 0, None),
+])
+def test_flags_checked_against_default_ngram_header(tmp_path, corpus_dir, capsys, flags, code, field):
+    index_path = tmp_path / "runs.qdx"
+    plans = sorted(corpus_dir.glob("*.json"))[:3]
+    run_cli("index", "add", *plans, "--index", index_path, "--approach", "ngram")
+    capsys.readouterr()
+    assert run_cli("predict", plans[0], "--index", index_path, *flags) == code
+    err = capsys.readouterr().err
+    if field is None:
+        assert err == ""
+    else:
+        assert f"config mismatch on '{field}'" in err
+
+
 def test_missing_runtime_rejected_on_index_add(tmp_path, capsys):
     plan = tmp_path / "nolabel.plan"
     plan.write_text("Scan t\n")
@@ -168,6 +194,15 @@ def test_gen_writes_deterministic_corpus(tmp_path, capsys):
     assert files_a == files_b and len(files_a) == 12
     for name in files_a:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_non_utf8_index_exits_1(plan_file, tmp_path, capsys):
+    index_path = tmp_path / "runs.qdx"
+    assert run_cli("index", "add", plan_file, "--index", index_path) == 0
+    index_path.write_bytes(index_path.read_bytes() + b'{"plan_id": "\xff"}\n')
+    capsys.readouterr()
+    assert run_cli("index", "show", "--index", index_path) == 1
+    assert "index file line 3: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_unreadable_plan_path_exits_nonzero(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Runtime classification, two-step matching, prediction, persistence."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -15,8 +16,10 @@ from qdaghash.fingerprint import Fingerprint128, FingerprintConfig
 from qdaghash.index import (
     ComplexityLabel,
     Index,
+    IndexHeader,
     IndexRecord,
     classify_runtime,
+    require_compatible,
 )
 
 
@@ -276,14 +279,41 @@ def test_foreign_hash_algo_loads_but_fails_at_use(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     loaded = Index.load(path)
     assert loaded.header.hash_algo == "xxhash"
-    from qdaghash.cli import _config_from_args
-    import argparse
-
-    args = argparse.Namespace(approach=None, ngram_n=None, keep_ids=False,
-                              no_normalize=False, ngram_dedupe=False)
     with pytest.raises(ConfigMismatch) as exc:
-        _config_from_args(args, loaded.header)
+        require_compatible(loaded.header, FingerprintConfig())
     assert exc.value.field == "hash_algo"
+
+
+def test_unknown_approach_rejected_at_load(tmp_path):
+    index = Index.new(FingerprintConfig(approach="ngram"))
+    path = tmp_path / "idx.qdx"
+    index.save(path)
+    text = path.read_text().replace('"approach": "ngram"', '"approach": "bogus"')
+    path.write_text(text)
+    with pytest.raises(ConfigMismatch) as exc:
+        Index.load(path)
+    assert exc.value.field == "approach"
+
+
+def test_duplicate_plan_id_in_file_rejected(tmp_path):
+    index = five_record_index()
+    path = tmp_path / "idx.qdx"
+    index.save(path)
+    lines = path.read_text().splitlines()
+    lines.append(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IndexFormatError) as exc:
+        Index.load(path)
+    assert exc.value.line_no == len(lines)
+    assert "duplicate plan_id" in str(exc.value)
+
+
+def test_unparseable_ngram_config_is_a_mismatch():
+    header = IndexHeader.for_config(FingerprintConfig(approach="ngram"))
+    header = dataclasses.replace(header, node_config="q=3")
+    with pytest.raises(ConfigMismatch) as exc:
+        header.to_config()
+    assert exc.value.field == "ngram_config"
 
 
 def test_label_runtime_disagreement_rejected(tmp_path):
@@ -309,6 +339,7 @@ def test_ngram_header_round_trips_config(tmp_path):
     loaded = Index.load(path)
     assert loaded.header.node_config == config.ngram.config_id()
     assert NGramConfig.from_id(loaded.header.node_config) == config.ngram
+    assert loaded.header.to_config() == config
 
 
 # -- concurrency smoke ------------------------------------------------------------------

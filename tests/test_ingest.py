@@ -362,6 +362,16 @@ def test_malformed_file_reported_by_name(tmp_path):
     assert "broken.json" in str(exc.value)
 
 
+def test_non_utf8_text_plan_reported_by_name(tmp_path):
+    (tmp_path / "good.plan").write_text("Scan t\n")
+    (tmp_path / "latin1.plan").write_bytes("Scan caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(CorpusLoadError) as exc:
+        load_corpus(tmp_path)
+    [(name, error)] = exc.value.failures
+    assert name == "latin1.plan"
+    assert isinstance(error, MalformedDocument)
+
+
 def test_duplicate_plan_id_rejected(tmp_path):
     for name in ("x.json", "y.json"):
         (tmp_path / name).write_text(json.dumps({

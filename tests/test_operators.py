@@ -1,6 +1,6 @@
 """Operator registry codes and the deterministic unknown-name fallback."""
 
-from qdaghash.operators import OperatorRegistry, default_registry, operator_code
+from qdaghash.operators import default_registry
 
 
 def test_committed_codes_for_core_operators():
@@ -37,9 +37,3 @@ def test_code_63_is_never_produced():
     registry = default_registry()
     names = registry.known_names() + [f"Zz{i}" for i in range(500)]
     assert all(registry.code(name) != 63 for name in names)
-
-
-def test_module_level_wrapper_uses_default_registry():
-    assert operator_code("Scan") == 1
-    custom = OperatorRegistry({"Scan": 9})
-    assert operator_code("Scan", custom) == 9

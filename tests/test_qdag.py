@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from conftest import chain_graph, dag_graphs, make_node, permuted, random_dag
 from qdaghash.errors import CycleDetected, DanglingEdge, DuplicateNodeId, EmptyGraph
-from qdaghash.qdag import PlanNode, QDag, reverse_edges, structural_profile, validate_dag
+from qdaghash.qdag import PlanNode, QDag, structural_profile, validate_dag
 
 
 # -- validation ---------------------------------------------------------------
@@ -118,21 +118,3 @@ def test_profile_deterministic_under_list_permutation(graph):
     shuffled = permuted(graph, random.Random(11))
     assert structural_profile(shuffled) == profile
 
-
-# -- reverse_edges --------------------------------------------------------------
-
-def test_reverse_chain():
-    graph = chain_graph("Scan", "Filter", "Project")
-    assert reverse_edges(graph).edges == ((1, 0), (2, 1))
-
-
-def test_reverse_edgeless_graph_is_identity():
-    graph = QDag("one", [make_node(0)], [])
-    assert reverse_edges(graph) == graph
-
-
-def test_reverse_is_an_involution_on_random_dags():
-    rng = random.Random(8)
-    for _ in range(50):
-        graph = random_dag(rng, rng.randint(1, 25), rng.randint(0, 15))
-        assert reverse_edges(reverse_edges(graph)) == graph
