@@ -164,6 +164,13 @@ class ConfigMismatch(OperationalError):
 
 
 class IndexFormatError(OperationalError):
-    def __init__(self, line_no: int, detail: str):
-        self.line_no = line_no
-        super().__init__(f"index file line {line_no}: {detail}")
+    """A corrupt index file.
+
+    where is a 1-based line number (the header line, or a v1 record line)
+    or a place in a v2 file such as "record 7" or "block 'runtime'".
+    """
+
+    def __init__(self, where: int | str, detail: str):
+        self.line_no = where if isinstance(where, int) else None
+        self.where = f"line {where}" if isinstance(where, int) else where
+        super().__init__(f"index file {self.where}: {detail}")

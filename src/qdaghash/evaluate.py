@@ -1,10 +1,11 @@
 """Leave-one-out evaluation of complexity prediction over a labeled corpus.
 
-For every document, an index is built from all the others, the document's
-complexity is predicted by 1-NN, and the prediction is scored against the
-label derived from its true runtime. Results aggregate into an accuracy
-figure, the two directional error rates, a 3x3 confusion matrix, and an
-accuracy breakdown by nearest-neighbor node distance.
+For every document, its complexity is predicted by 1-NN over all the
+others (the index's two-step match with that document's row left out),
+and the prediction is scored against the label derived from its true
+runtime. Results aggregate into an accuracy figure, the two directional
+error rates, a 3x3 confusion matrix, and an accuracy breakdown by
+nearest-neighbor node distance.
 
 Evaluation granularity is per plan document: whatever subgraph a document
 carries is the unit that is fingerprinted, matched, and scored.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import CorpusTooSmall, MissingRuntime
 from .fingerprint import FingerprintConfig, fingerprint_document
-from .index import ComplexityLabel, Index, IndexHeader, IndexRecord
+from .index import ComplexityLabel, IndexRecord, _Columns, _two_step
 from .ingest import Corpus
 from .operators import OperatorRegistry
 
@@ -111,23 +112,26 @@ def eval_leave_one_out(
             raise MissingRuntime(doc.plan_id)
 
     config = config or FingerprintConfig()
-    header = IndexHeader.for_config(config)
     records = [
         IndexRecord.from_runtime(
             doc.plan_id, fingerprint_document(doc, config, registry), doc.runtime_seconds
         )
         for doc in documents
     ]
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
+    columns = _Columns.of(records)
     confusion = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     bucket_count = [0] * len(BUCKET_LABELS)
     bucket_correct = [0] * len(BUCKET_LABELS)
     for i, record in enumerate(records):
-        index = Index(header, (r for j, r in enumerate(records) if j != i))
-        predicted, evidence = index.predict(record.fingerprint, k=k)
+        fp = record.fingerprint
+        _, node_distance, _, nearest = _two_step(columns, fp.edge_sig, fp.node_sig, k, skip=i)[0]
+        predicted = records[nearest].label
         actual = record.label
         confusion[actual][predicted] += 1
-        bucket = _bucket_of(evidence.node_distance)
+        bucket = _bucket_of(node_distance)
         bucket_count[bucket] += 1
         if predicted is actual:
             bucket_correct[bucket] += 1

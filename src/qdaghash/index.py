@@ -1,15 +1,40 @@
 """Fingerprint index: runtime labels, two-step matching, 1-NN prediction.
 
+An index holds its records as parallel columns in insertion order: edge
+and node signatures (uint64), runtime (float64), label (uint8) and the
+plan ids.
+
 Matching is a linear scan in two steps: first keep the k records closest
 to the probe by edge-signature Hamming distance, then rank those k by
 node-signature distance. The top-k cut orders records by (edge distance,
 node distance, plan_id) and the ranking by (node distance, edge distance,
 plan_id); both are total orders, so results are fully deterministic.
+_two_step is the one implementation of both orders, shared by Index.match
+and the leave-one-out eval. It popcounts the whole edge column in numpy,
+keeps every record within the k-th smallest edge distance (ties
+included), and sorts only that small set in Python.
 
 The header stamps the configuration every stored fingerprint was computed
 under. IndexHeader.for_config and IndexHeader.to_config map a
 FingerprintConfig to that stamp and back, and require_compatible is the
 one comparison between a stamp and a config.
+
+Index files (format v2) are the JSON header line, then fixed-width
+little-endian blocks, in this order:
+
+    counts   2 x <u8  record count n, id blob size m
+    edge     n x <u8  edge signatures
+    node     n x <u8  node signatures
+    runtime  n x <f8  runtime seconds
+    offsets  n x <u8  end of each plan id in the id blob
+    label    n x u1   ComplexityLabel of each runtime
+    ids      m bytes  the UTF-8 plan ids, concatenated
+
+Index.load reads the blocks with np.frombuffer and checks every record
+column-wise (see _read_v2). Version 1 files, one JSON record per line
+after the header, still load; save always writes version 2. Save writes a
+temporary file beside the target, fsyncs it and renames it over the
+target, so a crash leaves either the old file or the new one.
 
 The index allows many concurrent readers with exclusive writers: mutation
 and snapshot-taking synchronize on one lock, and scans run on snapshots,
@@ -18,14 +43,18 @@ so a read sees either the pre- or post-write state, never a partial one.
 
 from __future__ import annotations
 
+import contextlib
 import enum
-import heapq
 import json
 import math
+import os
+import stat
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigMismatch,
@@ -44,9 +73,10 @@ from .fingerprint import (
     FingerprintConfig,
 )
 from .ngrams import NGramConfig
-from .simhash import HASH_ALGORITHM_ID, hamming
+from .simhash import HASH_ALGORITHM_ID
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, INDEX_FORMAT_VERSION)
 
 SIMPLE_MEDIUM_BOUNDARY_SECONDS = 5.0
 MEDIUM_COMPLEX_BOUNDARY_SECONDS = 30.0
@@ -67,7 +97,7 @@ class ComplexityLabel(enum.IntEnum):
     def parse(cls, text: str) -> "ComplexityLabel":
         try:
             return cls[text.strip().upper()]
-        except KeyError:
+        except (AttributeError, KeyError):
             raise ValueError(f"unknown complexity label {text!r}") from None
 
 
@@ -83,6 +113,12 @@ def classify_runtime(runtime_seconds: float) -> ComplexityLabel:
     if value < MEDIUM_COMPLEX_BOUNDARY_SECONDS:
         return ComplexityLabel.MEDIUM
     return ComplexityLabel.COMPLEX
+
+
+def _classify_column(runtime: np.ndarray) -> np.ndarray:
+    """classify_runtime of each finite, non-negative runtime, as label values."""
+    bounds = (SIMPLE_MEDIUM_BOUNDARY_SECONDS, MEDIUM_COMPLEX_BOUNDARY_SECONDS)
+    return np.searchsorted(bounds, runtime, side="right")
 
 
 @dataclass(frozen=True)
@@ -164,15 +200,27 @@ class IndexHeader:
 
     @classmethod
     def from_json_obj(cls, obj: dict[str, object]) -> "IndexHeader":
-        approach = str(obj["approach"])
+        """Inverse of to_json_obj; a missing key raises KeyError and a value
+        of the wrong JSON type raises TypeError, nothing is coerced."""
+        approach = _json_str(obj, "approach")
         key = "feature_schema_version" if approach == APPROACH_STRUCTURED else "ngram_config"
+        version = obj["version"]
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise TypeError(f"'version' must be an integer, got {version!r}")
         return cls(
-            version=int(obj["version"]),  # type: ignore[arg-type]
-            hash_algo=str(obj["hash_algo"]),
+            version=version,
+            hash_algo=_json_str(obj, "hash_algo"),
             approach=approach,
-            node_config=str(obj[key]),
-            edge_layout_version=str(obj["edge_layout_version"]),
+            node_config=_json_str(obj, key),
+            edge_layout_version=_json_str(obj, "edge_layout_version"),
         )
+
+
+def _json_str(obj: dict[str, object], key: str) -> str:
+    value = obj[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, got {value!r}")
+    return value
 
 
 # Header fields whose mismatch makes the stored fingerprints meaningless to
@@ -188,12 +236,86 @@ def require_compatible(
 
     Compares the header with IndexHeader.for_config(config) key by key in
     header order (or only the given fields) and names the first key that
-    differs.
+    differs. The file format version is not compared: it decides how the
+    file is read, not the fingerprint bits.
     """
     got = IndexHeader.for_config(config).to_json_obj()
     for key, expected in header.to_json_obj().items():
-        if (fields is None or key in fields) and got.get(key) != expected:
+        if key == "version" or (fields is not None and key not in fields):
+            continue
+        if got.get(key) != expected:
             raise ConfigMismatch(key, expected, got.get(key))
+
+
+# -- columns and the ranking kernel --------------------------------------------
+
+_U64 = np.dtype("<u8")
+_F64 = np.dtype("<f8")
+_U8 = np.dtype("u1")
+# A record's row values: edge signature, node signature, runtime, label.
+_ROW_DTYPES = (_U64, _U64, _F64, _U8)
+# Larger than any Hamming distance between 64-bit words.
+_EXCLUDED = 255
+
+
+class _Columns(NamedTuple):
+    """A snapshot of an index's rows, in insertion order.
+
+    ids may be the index's own list, which is only ever appended to, so it
+    can run longer than the arrays; rows past len(edge) are not in the
+    snapshot.
+    """
+
+    ids: list[str]
+    edge: np.ndarray
+    node: np.ndarray
+    runtime: np.ndarray
+    label: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[IndexRecord]) -> "_Columns":
+        return cls([r.plan_id for r in records], *_row_arrays([_row(r) for r in records]))
+
+
+def _row(record: IndexRecord) -> tuple[int, int, float, int]:
+    fp = record.fingerprint
+    return fp.edge_sig, fp.node_sig, record.runtime_seconds, record.label
+
+
+def _row_arrays(rows: Sequence[tuple[int, int, float, int]]) -> list[np.ndarray]:
+    """The edge, node, runtime and label arrays of rows."""
+    columns = list(zip(*rows)) or [()] * len(_ROW_DTYPES)
+    return [np.array(values, dtype) for values, dtype in zip(columns, _ROW_DTYPES)]
+
+
+def _two_step(
+    columns: _Columns, probe_edge: int, probe_node: int, k: int, skip: int | None = None
+) -> list[tuple[int, int, str, int]]:
+    """The two-step match of a probe against columns.
+
+    Returns (edge distance, node distance, plan_id, row) of the k rows first
+    by (edge, node, plan_id), ranked by (node, edge, plan_id); k is capped
+    at the row count. Row skip, if given, is left out. Requires k >= 1 and
+    at least one row besides skip.
+    """
+    edge_d = np.bitwise_count(columns.edge ^ np.uint64(probe_edge))
+    rows_in = len(edge_d)
+    if skip is not None:
+        edge_d[skip] = _EXCLUDED
+        rows_in -= 1
+    k = min(k, rows_in)
+    # Every row within the k-th smallest edge distance is a candidate, so
+    # the exact order below decides ties at the cut.
+    cut = np.partition(edge_d, k - 1)[k - 1]
+    rows = np.flatnonzero(edge_d <= cut)
+    node_d = np.bitwise_count(columns.node[rows] ^ np.uint64(probe_node))
+    ids = columns.ids
+    row_list = rows.tolist()
+    scored = sorted(
+        zip(edge_d[rows].tolist(), node_d.tolist(), [ids[r] for r in row_list], row_list)
+    )[:k]
+    scored.sort(key=lambda s: (s[1], s[0], s[2]))
+    return scored
 
 
 class Index:
@@ -203,8 +325,13 @@ class Index:
         if header.approach not in APPROACHES:
             raise ConfigMismatch("approach", "|".join(APPROACHES), header.approach)
         self.header = header
-        self._records: dict[str, IndexRecord] = {}
         self._lock = threading.Lock()
+        self._ids: list[str] = []
+        # plan_id -> row; None after a load until the first add needs it.
+        self._row_of: dict[str, int] | None = {}
+        self._frozen = _Columns(self._ids, *_row_arrays(()))
+        # Rows added or replaced since _frozen was built, folded in by _columns.
+        self._pending: dict[int, tuple[int, int, float, int]] = {}
         for record in records:
             self.add(record)
 
@@ -213,11 +340,35 @@ class Index:
         return cls(IndexHeader.for_config(config or FingerprintConfig()))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
+
+    def _columns(self) -> _Columns:
+        """A snapshot of every row; rows added since the last one are folded in."""
+        with self._lock:
+            if self._pending:
+                n = len(self._ids)
+                rows = np.fromiter(self._pending, np.intp, len(self._pending))
+                arrays = []
+                for old, new in zip(self._frozen[1:], _row_arrays(list(self._pending.values()))):
+                    array = np.empty(n, old.dtype)
+                    array[: len(old)] = old
+                    array[rows] = new
+                    arrays.append(array)
+                self._frozen = _Columns(self._ids, *arrays)
+                self._pending = {}
+            return self._frozen
 
     def records(self) -> list[IndexRecord]:
-        with self._lock:
-            return list(self._records.values())
+        columns = self._columns()
+        approach = self.header.approach
+        return [
+            IndexRecord(
+                plan_id, Fingerprint128(edge, node, approach), runtime, ComplexityLabel(label)
+            )
+            for plan_id, edge, node, runtime, label in zip(
+                columns.ids, *(array.tolist() for array in columns[1:])
+            )
+        ]
 
     def _require_approach(self, fingerprint: Fingerprint128) -> None:
         if fingerprint.approach != self.header.approach:
@@ -227,7 +378,12 @@ class Index:
         """Insert a record; an existing plan_id is replaced in place."""
         self._require_approach(record.fingerprint)
         with self._lock:
-            self._records[record.plan_id] = record
+            if self._row_of is None:
+                self._row_of = {plan_id: row for row, plan_id in enumerate(self._ids)}
+            row = self._row_of.setdefault(record.plan_id, len(self._ids))
+            if row == len(self._ids):
+                self._ids.append(record.plan_id)
+            self._pending[row] = _row(record)
 
     def match(
         self, probe: Fingerprint128, k: int = 10, top_n: int | None = None
@@ -238,26 +394,19 @@ class Index:
             raise ValueError(f"k must be >= 1, got {k}")
         if top_n is not None and top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")
-        records = self.records()
-        if not records:
+        columns = self._columns()
+        if not len(columns.edge):
             raise EmptyIndex()
-
-        scored = [
-            (
-                hamming(probe.edge_sig, r.fingerprint.edge_sig),
-                hamming(probe.node_sig, r.fingerprint.node_sig),
-                r.plan_id,
-                r,
-            )
-            for r in records
-        ]
-        candidates = heapq.nsmallest(k, scored, key=lambda s: s[:3])
-        candidates.sort(key=lambda s: (s[1], s[0], s[2]))
-        if top_n is not None:
-            candidates = candidates[:top_n]
+        ranked = _two_step(columns, probe.edge_sig, probe.node_sig, k)[:top_n]
         return [
-            MatchResult(r.plan_id, ed, nd, r.label, r.runtime_seconds)
-            for ed, nd, _, r in candidates
+            MatchResult(
+                plan_id,
+                edge_d,
+                node_d,
+                ComplexityLabel(int(columns.label[row])),
+                float(columns.runtime[row]),
+            )
+            for edge_d, node_d, plan_id, row in ranked
         ]
 
     def predict(
@@ -270,55 +419,180 @@ class Index:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with self._lock:
-            records = list(self._records.values())
-        lines = [json.dumps(self.header.to_json_obj())]
-        for r in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "plan_id": r.plan_id,
-                        "edge_fp": r.fingerprint.edge_hex,
-                        "node_fp": r.fingerprint.node_hex,
-                        "runtime_seconds": r.runtime_seconds,
-                        "label": r.label.display,
-                    }
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        """Write the index as a version 2 file; see the module docstring."""
+        columns = self._columns()
+        n = len(columns.edge)
+        ids = [plan_id.encode("utf-8") for plan_id in columns.ids[:n]]
+        blob = b"".join(ids)
+        header = replace(self.header, version=INDEX_FORMAT_VERSION)
+        _replace_file(
+            Path(path),
+            [
+                json.dumps(header.to_json_obj()).encode("utf-8") + b"\n",
+                np.array([n, len(blob)], _U64).tobytes(),
+                columns.edge.tobytes(),
+                columns.node.tobytes(),
+                columns.runtime.tobytes(),
+                np.cumsum(np.fromiter(map(len, ids), _U64, n), dtype=_U64).tobytes(),
+                columns.label.tobytes(),
+                blob,
+            ],
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "Index":
-        try:
-            text = Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = exc.object.count(b"\n", 0, exc.start) + 1
-            raise IndexFormatError(line_no, f"not valid UTF-8 at byte {exc.start}") from exc
-        lines = text.splitlines()
-        if not lines:
+        data = Path(path).read_bytes()
+        if not data:
             raise IndexFormatError(1, "empty index file")
-        try:
-            header_obj = json.loads(lines[0])
-            header = IndexHeader.from_json_obj(header_obj)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise IndexFormatError(1, f"bad header: {exc}") from exc
-        if header.version != INDEX_FORMAT_VERSION:
-            raise IndexFormatError(
-                1, f"unsupported index version {header.version} (expected {INDEX_FORMAT_VERSION})"
-            )
+        newline = data.find(b"\n")
+        body = len(data) if newline < 0 else newline + 1
+        header = _read_header(data[:body])
         index = cls(header)
         require_compatible(header, FingerprintConfig(approach=header.approach), _REFUSED_AT_LOAD)
-
-        # Records are parsed under the header's approach, so they skip add()'s check.
-        records = index._records
-        for line_no, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            record = _parse_record_line(line, line_no, header.approach)
-            if record.plan_id in records:
-                raise IndexFormatError(line_no, f"duplicate plan_id {record.plan_id!r}")
-            records[record.plan_id] = record
+        if header.version == INDEX_FORMAT_VERSION:
+            columns = _read_v2(data, body)
+        else:
+            columns = _Columns.of(_read_v1(data, body, header.approach))
+        index._ids = columns.ids
+        index._frozen = columns
+        index._row_of = None
         return index
+
+
+def _replace_file(path: Path, parts: Iterable[bytes]) -> None:
+    """Write parts to a temporary file beside path, fsync it, then rename it
+    over path; on any failure the temporary file is removed."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            with contextlib.suppress(FileNotFoundError):
+                os.fchmod(f.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            for part in parts:
+                f.write(part)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_header(line: bytes) -> IndexHeader:
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(1, f"not valid UTF-8 at byte {exc.start}") from exc
+    try:
+        header = IndexHeader.from_json_obj(json.loads(text))
+    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        raise IndexFormatError(1, f"bad header: {exc}") from exc
+    if header.version not in _READABLE_VERSIONS:
+        raise IndexFormatError(
+            1,
+            f"unsupported index version {header.version} "
+            f"(expected one of {', '.join(map(str, _READABLE_VERSIONS))})",
+        )
+    return header
+
+
+def _block(data: bytes, pos: int, name: str, dtype: np.dtype, count: int) -> np.ndarray:
+    size = dtype.itemsize * count
+    if len(data) - pos < size:
+        raise IndexFormatError(f"block {name!r}", f"truncated: {len(data) - pos} of {size} bytes")
+    return np.frombuffer(data, dtype, count, pos)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """The 1-based number of the first record where mask is set."""
+    rows = np.flatnonzero(mask)
+    return int(rows[0]) + 1 if len(rows) else None
+
+
+def _read_v2(data: bytes, pos: int) -> _Columns:
+    """The columns of a v2 file whose blocks start at pos, every record checked."""
+    n, blob_size = (int(c) for c in _block(data, pos, "counts", _U64, 2))
+    pos += 2 * _U64.itemsize
+    blocks = {}
+    for name, dtype in (
+        ("edge", _U64), ("node", _U64), ("runtime", _F64), ("offsets", _U64), ("label", _U8)
+    ):
+        blocks[name] = _block(data, pos, name, dtype, n)
+        pos += blocks[name].nbytes
+    blob = data[pos : pos + blob_size]
+    if len(blob) < blob_size:
+        raise IndexFormatError("block 'ids'", f"truncated: {len(blob)} of {blob_size} bytes")
+    if len(data) > pos + blob_size:
+        raise IndexFormatError(
+            "block 'ids'", f"followed by {len(data) - pos - blob_size} trailing byte(s)"
+        )
+
+    runtime, label = blocks["runtime"], blocks["label"]
+    bad = _first(~(np.isfinite(runtime) & (runtime >= 0)))
+    if bad is not None:
+        value = float(runtime[bad - 1])
+        error = NonFiniteRuntime(value) if not math.isfinite(value) else NegativeRuntime(value)
+        raise IndexFormatError(f"record {bad}", str(error))
+    bad = _first(label != _classify_column(runtime))
+    if bad is not None:
+        value = float(runtime[bad - 1])
+        raise IndexFormatError(
+            f"record {bad}",
+            f"label {label[bad - 1]} does not match runtime {value} "
+            f"({classify_runtime(value).display})",
+        )
+
+    ends = blocks["offsets"]
+    starts = np.zeros(n, _U64)
+    starts[1:] = ends[:-1]
+    bad = _first(ends <= starts)
+    if bad is not None:
+        raise IndexFormatError(
+            f"record {bad}",
+            f"plan_id offset {ends[bad - 1]} does not follow {starts[bad - 1]}",
+        )
+    last = int(ends[-1]) if n else 0
+    if last != blob_size:
+        raise IndexFormatError(
+            "block 'offsets'", f"last offset {last} is not the id blob size {blob_size}"
+        )
+    bounds = (starts.tolist(), ends.tolist())
+    try:
+        ids = [blob[start:end].decode("utf-8") for start, end in zip(*bounds)]
+    except UnicodeDecodeError:
+        for record, (start, end) in enumerate(zip(*bounds), start=1):
+            try:
+                blob[start:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(
+                    f"record {record}", f"plan_id is not valid UTF-8 at byte {exc.start}"
+                ) from exc
+        raise
+    if len(set(ids)) < n:
+        seen: set[str] = set()
+        for record, plan_id in enumerate(ids, start=1):
+            if plan_id in seen:
+                raise IndexFormatError(f"record {record}", f"duplicate plan_id {plan_id!r}")
+            seen.add(plan_id)
+    return _Columns(ids, blocks["edge"], blocks["node"], runtime, label)
+
+
+def _read_v1(data: bytes, pos: int, approach: str) -> list[IndexRecord]:
+    """The records of a v1 file: one JSON object per line from pos on."""
+    try:
+        text = data[pos:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = pos + exc.start
+        line_no = data.count(b"\n", 0, at) + 1
+        raise IndexFormatError(line_no, f"not valid UTF-8 at byte {at}") from exc
+    records: dict[str, IndexRecord] = {}
+    for line_no, line in enumerate(text.splitlines(), start=2):
+        if not line.strip():
+            continue
+        record = _parse_record_line(line, line_no, approach)
+        if record.plan_id in records:
+            raise IndexFormatError(line_no, f"duplicate plan_id {record.plan_id!r}")
+        records[record.plan_id] = record
+    return list(records.values())
 
 
 def _parse_record_line(line: str, line_no: int, approach: str) -> IndexRecord:
@@ -329,7 +603,7 @@ def _parse_record_line(line: str, line_no: int, approach: str) -> IndexRecord:
         node_hex = obj["node_fp"]
         runtime = obj["runtime_seconds"]
         label = ComplexityLabel.parse(obj["label"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise IndexFormatError(line_no, str(exc)) from exc
     if not isinstance(plan_id, str) or not plan_id:
         raise IndexFormatError(line_no, "plan_id must be a non-empty string")

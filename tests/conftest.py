@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from pathlib import Path
@@ -22,6 +23,21 @@ def _children_import_src():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         yield
+
+
+def save_v1(index, path) -> None:
+    """Write index as a version 1 file: the JSON header line, then one JSON
+    record per line, as earlier releases of Index.save did."""
+    lines = [json.dumps({**index.header.to_json_obj(), "version": 1})]
+    for r in index.records():
+        lines.append(json.dumps({
+            "plan_id": r.plan_id,
+            "edge_fp": r.fingerprint.edge_hex,
+            "node_fp": r.fingerprint.node_hex,
+            "runtime_seconds": r.runtime_seconds,
+            "label": r.label.display,
+        }))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 OPERATOR_POOL = (

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from conftest import save_v1
 
 from qdaghash.cli import main
+from qdaghash.index import Index
 from qdaghash.synth import default_spec, generate_corpus
 
 PLAN_TEXT = """-- plan_id: demo
@@ -177,6 +179,29 @@ def test_eval_reports_accuracy(corpus_dir, capsys):
     assert len(report["confusion"]) == 3
 
 
+def test_eval_bad_k_exits_2(corpus_dir, capsys):
+    assert run_cli("eval", corpus_dir, "--k", "0") == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_index_add_migrates_v1_file_to_v2(tmp_path, corpus_dir, capsys):
+    index_path = tmp_path / "runs.qdx"
+    plans = sorted(corpus_dir.glob("*.json"))
+    assert run_cli("index", "add", *plans[:4], "--index", index_path) == 0
+    save_v1(Index.load(index_path), index_path)
+    capsys.readouterr()
+    assert run_cli("match", plans[0], "--index", index_path, "--json") == 0
+    assert json.loads(capsys.readouterr().out)[0]["node_distance"] == 0
+
+    assert run_cli("index", "add", *plans[4:6], "--index", index_path) == 0
+    head = index_path.read_bytes().split(b"\n", 1)[0]
+    assert json.loads(head)["version"] == 2
+    capsys.readouterr()
+    assert run_cli("index", "show", "--index", index_path, "--json") == 0
+    shown = json.loads(capsys.readouterr().out)
+    assert len(shown["records"]) == 6
+
+
 def test_eval_text_report(corpus_dir, capsys):
     assert run_cli("eval", corpus_dir) == 0
     out = capsys.readouterr().out
@@ -199,6 +224,7 @@ def test_gen_writes_deterministic_corpus(tmp_path, capsys):
 def test_non_utf8_index_exits_1(plan_file, tmp_path, capsys):
     index_path = tmp_path / "runs.qdx"
     assert run_cli("index", "add", plan_file, "--index", index_path) == 0
+    save_v1(Index.load(index_path), index_path)
     index_path.write_bytes(index_path.read_bytes() + b'{"plan_id": "\xff"}\n')
     capsys.readouterr()
     assert run_cli("index", "show", "--index", index_path) == 1

@@ -7,13 +7,15 @@ import pytest
 
 from qdaghash.errors import CorpusTooSmall, MissingRuntime
 from qdaghash.evaluate import (
+    BUCKET_LABELS,
+    DistanceBucket,
     EvalReport,
     eval_leave_one_out,
     render_report_json,
     render_report_text,
 )
-from qdaghash.fingerprint import FingerprintConfig
-from qdaghash.index import ComplexityLabel
+from qdaghash.fingerprint import FingerprintConfig, fingerprint_document
+from qdaghash.index import ComplexityLabel, classify_runtime
 from qdaghash.ingest import Corpus, PlanDocument
 from qdaghash.qdag import PlanNode, QDag
 
@@ -118,6 +120,61 @@ def test_report_internal_consistency_and_document_order_independence():
     rng.shuffle(shuffled_docs)
     shuffled = Corpus(tuple(shuffled_docs), corpus.source_path)
     assert eval_leave_one_out(shuffled, FingerprintConfig(), k=5) == report
+
+
+def brute_force_report(docs, config, k):
+    """The EvalReport of 1-NN leave-one-out, by full sorts fold by fold."""
+    fps = [fingerprint_document(doc, config) for doc in docs]
+    confusion = [[0, 0, 0] for _ in range(3)]
+    count = [0] * len(BUCKET_LABELS)
+    correct = [0] * len(BUCKET_LABELS)
+    for i, held in enumerate(docs):
+        scored = sorted(
+            (
+                (fps[i].edge_sig ^ fps[j].edge_sig).bit_count(),
+                (fps[i].node_sig ^ fps[j].node_sig).bit_count(),
+                other.plan_id,
+                other.runtime_seconds,
+            )
+            for j, other in enumerate(docs)
+            if j != i
+        )[:k]
+        _, node_distance, _, runtime = min(scored, key=lambda s: (s[1], s[0], s[2]))
+        actual, predicted = classify_runtime(held.runtime_seconds), classify_runtime(runtime)
+        confusion[actual][predicted] += 1
+        bucket = next((b for b, upper in enumerate((0, 2, 5, 7)) if node_distance <= upper), 4)
+        count[bucket] += 1
+        correct[bucket] += predicted == actual
+    simple, medium, complex_ = confusion
+    heavy = sum(medium) + sum(complex_)
+    return EvalReport(
+        approach=config.approach,
+        corpus_size=len(docs),
+        k=k,
+        accuracy=sum(confusion[i][i] for i in range(3)) / len(docs),
+        err_simple_as_heavier=(simple[1] + simple[2]) / sum(simple) if sum(simple) else 0.0,
+        err_heavy_as_simple=(medium[0] + complex_[0]) / heavy if heavy else 0.0,
+        confusion=tuple(tuple(row) for row in confusion),
+        buckets=tuple(
+            DistanceBucket(label, count[b], correct[b]) for b, label in enumerate(BUCKET_LABELS)
+        ),
+    )
+
+
+@pytest.mark.parametrize("approach", ["structured", "ngram"])
+def test_report_equals_brute_force_per_fold_reference(approach):
+    # Three shapes and two column salts over 14 plans: fingerprints repeat,
+    # so edge and node ties decide most folds, by plan_id.
+    rng = random.Random(21)
+    shapes = [("Scan", "Filter"), ("Scan", "Filter", "Project"), ("Scan", "Sort", "Exchange")]
+    docs = [
+        doc_from_ops(f"p{rng.randrange(100):02d}-{i}", rng.choice([1.0, 12.0, 45.0]),
+                     *shapes[i % 3], salt=str(i % 2))
+        for i in range(14)
+    ]
+    config = FingerprintConfig(approach=approach)
+    for k in (1, 3, len(docs) - 1, len(docs), len(docs) + 5):
+        assert eval_leave_one_out(corpus_of(*docs), config, k=k) == brute_force_report(docs, config, k)
 
 
 def test_report_json_round_trip():

@@ -1,10 +1,26 @@
 """Runtime classification, two-step matching, prediction, persistence."""
 
+import contextlib
 import dataclasses
+import errno
+import io
+import json
+import math
+import os
+import struct
+import sys
+import tempfile
 import threading
+from functools import cache
+from pathlib import Path
 
 import pytest
+from conftest import save_v1
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qdaghash.index as index_module
+from qdaghash.cli import main
 from qdaghash.errors import (
     ConfigMismatch,
     EmptyIndex,
@@ -18,6 +34,7 @@ from qdaghash.index import (
     Index,
     IndexHeader,
     IndexRecord,
+    MatchResult,
     classify_runtime,
     require_compatible,
 )
@@ -169,6 +186,51 @@ def test_plan_id_breaks_exact_ties():
     assert [r.plan_id for r in results] == ["aa", "zz"]
 
 
+SIG_POOL = (0, 0b1011, 0xF0F0, 0xFFFF_FFFF_FFFF_FFFF)
+
+
+def brute_force_match(records, probe, k, top_n):
+    """The two-step rule by two full sorts over Python ints."""
+    scored = sorted(
+        (
+            (probe.edge_sig ^ r.fingerprint.edge_sig).bit_count(),
+            (probe.node_sig ^ r.fingerprint.node_sig).bit_count(),
+            r.plan_id,
+            r,
+        )
+        for r in records
+    )[:k]
+    scored.sort(key=lambda s: (s[1], s[0], s[2]))
+    return [MatchResult(pid, ed, nd, r.label, r.runtime_seconds) for ed, nd, pid, r in scored[:top_n]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_match_equals_brute_force_two_step(data):
+    # Signatures come from four words, so distance ties are the norm; ids
+    # repeat, so some adds replace a row, before or after a snapshot.
+    draws = data.draw(st.lists(
+        st.tuples(
+            st.text(alphabet="abcé", min_size=1, max_size=2),
+            st.sampled_from(SIG_POOL),
+            st.sampled_from(SIG_POOL),
+            st.sampled_from((1.0, 12.0, 40.0)),
+        ),
+        min_size=1, max_size=40,
+    ))
+    snapshot_after = data.draw(st.integers(1, len(draws)))
+    index = Index.new(FingerprintConfig())
+    for i, (plan_id, edge, node, runtime) in enumerate(draws, start=1):
+        index.add(record(plan_id, edge, node, runtime))
+        if i == snapshot_after:
+            index.match(fp(0, 0), k=1)
+    n = len(index)
+    probe = fp(data.draw(st.sampled_from(SIG_POOL)), data.draw(st.sampled_from(SIG_POOL)))
+    k = data.draw(st.integers(1, n + 2))
+    top_n = data.draw(st.none() | st.integers(1, n + 2))
+    assert index.match(probe, k=k, top_n=top_n) == brute_force_match(index.records(), probe, k, top_n)
+
+
 # -- predict -------------------------------------------------------------------------
 
 def test_predict_exact_match_returns_stored_label():
@@ -226,7 +288,7 @@ def test_save_load_round_trip(tmp_path):
 def test_truncated_record_line_reports_line_number(tmp_path):
     index = five_record_index()
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines[-1] = lines[-1][: len(lines[-1]) // 2]
     path.write_text("\n".join(lines) + "\n")
@@ -238,7 +300,7 @@ def test_truncated_record_line_reports_line_number(tmp_path):
 def test_bad_header_version_rejected(tmp_path):
     index = five_record_index()
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines[0] = lines[0].replace('"version": 1', '"version": 99')
     path.write_text("\n".join(lines) + "\n")
@@ -249,7 +311,7 @@ def test_bad_header_version_rejected(tmp_path):
 def test_foreign_feature_schema_rejected_at_load(tmp_path):
     index = five_record_index()
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines[0] = lines[0].replace('"feature_schema_version": "fs1"', '"feature_schema_version": "fs0"')
     path.write_text("\n".join(lines) + "\n")
@@ -261,7 +323,7 @@ def test_foreign_feature_schema_rejected_at_load(tmp_path):
 def test_foreign_edge_layout_rejected_at_load(tmp_path):
     index = five_record_index()
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines[0] = lines[0].replace('"edge_layout_version": "el1"', '"edge_layout_version": "el9"')
     path.write_text("\n".join(lines) + "\n")
@@ -273,7 +335,7 @@ def test_foreign_hash_algo_loads_but_fails_at_use(tmp_path):
     # the file stays inspectable; fingerprinting against it is refused
     index = five_record_index()
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines[0] = lines[0].replace('"hash_algo": "cityhash64"', '"hash_algo": "xxhash"')
     path.write_text("\n".join(lines) + "\n")
@@ -287,7 +349,7 @@ def test_foreign_hash_algo_loads_but_fails_at_use(tmp_path):
 def test_unknown_approach_rejected_at_load(tmp_path):
     index = Index.new(FingerprintConfig(approach="ngram"))
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     text = path.read_text().replace('"approach": "ngram"', '"approach": "bogus"')
     path.write_text(text)
     with pytest.raises(ConfigMismatch) as exc:
@@ -298,7 +360,7 @@ def test_unknown_approach_rejected_at_load(tmp_path):
 def test_duplicate_plan_id_in_file_rejected(tmp_path):
     index = five_record_index()
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines.append(lines[1])
     path.write_text("\n".join(lines) + "\n")
@@ -320,7 +382,7 @@ def test_label_runtime_disagreement_rejected(tmp_path):
     index = Index.new(FingerprintConfig())
     index.add(record("q", 1, 1, 1.0))
     path = tmp_path / "idx.qdx"
-    index.save(path)
+    save_v1(index, path)
     lines = path.read_text().splitlines()
     lines[1] = lines[1].replace('"Simple"', '"Complex"')
     path.write_text("\n".join(lines) + "\n")
@@ -340,6 +402,218 @@ def test_ngram_header_round_trips_config(tmp_path):
     assert loaded.header.node_config == config.ngram.config_id()
     assert NGramConfig.from_id(loaded.header.node_config) == config.ngram
     assert loaded.header.to_config() == config
+
+
+def test_empty_index_round_trips(tmp_path):
+    path = tmp_path / "idx.qdx"
+    Index.new(FingerprintConfig(approach="ngram")).save(path)
+    loaded = Index.load(path)
+    assert len(loaded) == 0 and loaded.header.approach == "ngram"
+    loaded.add(record("q", 1, 1, 1.0, approach="ngram"))
+    assert [r.plan_id for r in loaded.match(fp(1, 1, "ngram"))] == ["q"]
+
+
+def test_replace_after_load_keeps_the_row(tmp_path):
+    # the id -> row map is built on the first add after a load
+    index = five_record_index()
+    index.add(record("ré-ü", 7, 7, 3.0))
+    path = tmp_path / "idx.qdx"
+    index.save(path)
+    loaded = Index.load(path)
+    loaded.add(record("b", 0b1110, 0b0111, 45.0))
+    index.add(record("b", 0b1110, 0b0111, 45.0))
+    assert len(loaded) == 6
+    assert loaded.records() == index.records()
+    loaded.save(tmp_path / "again.qdx")
+    index.save(path)
+    assert (tmp_path / "again.qdx").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("version", 1.9),
+    ("version", True),
+    ("version", "1"),
+    ("version", None),
+    ("hash_algo", None),
+    ("approach", 1),
+    ("feature_schema_version", None),
+    ("edge_layout_version", 1),
+])
+def test_header_value_of_wrong_type_rejected(tmp_path, key, value):
+    path = tmp_path / "idx.qdx"
+    five_record_index().save(path)
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    with pytest.raises(IndexFormatError) as exc:
+        Index.load(path)
+    assert exc.value.line_no == 1
+    assert key in str(exc.value)
+
+
+def test_failed_save_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "idx.qdx"
+    five_record_index().save(path)
+    before = path.read_bytes()
+    bigger = five_record_index()
+    for i in range(100):
+        bigger.add(record(f"more-{i}", i, i, 1.0))
+
+    class DiskFullHalfWay:
+        """A file that writes half of the first chunk it is given, then fails."""
+
+        def __init__(self, *args):
+            self.file = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def fileno(self):
+            return self.file.fileno()
+
+        def write(self, chunk):
+            self.file.write(bytes(chunk)[: len(bytes(chunk)) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(index_module, "open", DiskFullHalfWay, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        bigger.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["idx.qdx"]
+
+
+# -- hostile v2 files -------------------------------------------------------------------
+
+def v2_spans(data):
+    """Byte range of each block of a v2 file, from the documented layout."""
+    pos = data.index(b"\n") + 1
+    n, blob_size = struct.unpack_from("<QQ", data, pos)
+    spans = {"counts": (pos, pos + 16)}
+    pos += 16
+    for name, size in (("edge", 8 * n), ("node", 8 * n), ("runtime", 8 * n),
+                       ("offsets", 8 * n), ("label", n), ("ids", blob_size)):
+        spans[name] = (pos, pos + size)
+        pos += size
+    assert pos == len(data)
+    return spans
+
+
+def saved_v2(tmp_path):
+    """A saved five_record_index (ids a..e, one byte each) and its bytes."""
+    path = tmp_path / "idx.qdx"
+    five_record_index().save(path)
+    return path, bytearray(path.read_bytes())
+
+
+def load_error(path, data):
+    path.write_bytes(bytes(data))
+    with pytest.raises(IndexFormatError) as exc:
+        Index.load(path)
+    return exc.value
+
+
+def test_v2_truncated_block_rejected(tmp_path):
+    path, data = saved_v2(tmp_path)
+    start, end = v2_spans(data)["runtime"]
+    error = load_error(path, data[: (start + end) // 2])
+    assert error.where == "block 'runtime'"
+    assert "truncated" in str(error)
+
+
+def test_v2_trailing_bytes_rejected(tmp_path):
+    path, data = saved_v2(tmp_path)
+    error = load_error(path, data + b"\0")
+    assert error.where == "block 'ids'"
+    assert "1 trailing byte" in str(error)
+
+
+def test_v2_flipped_label_rejected(tmp_path):
+    path, data = saved_v2(tmp_path)
+    data[v2_spans(data)["label"][0] + 3] = ComplexityLabel.COMPLEX  # d ran 2.0 s
+    error = load_error(path, data)
+    assert error.where == "record 4"
+    assert "does not match runtime 2.0" in str(error)
+
+
+@pytest.mark.parametrize("value,record_no,message", [
+    (math.nan, 2, "must be finite"),
+    (-1.0, 5, "must be >= 0"),
+])
+def test_v2_bad_runtime_rejected(tmp_path, value, record_no, message):
+    path, data = saved_v2(tmp_path)
+    struct.pack_into("<d", data, v2_spans(data)["runtime"][0] + 8 * (record_no - 1), value)
+    error = load_error(path, data)
+    assert error.where == f"record {record_no}"
+    assert message in str(error)
+
+
+def test_v2_duplicate_plan_id_rejected(tmp_path):
+    path, data = saved_v2(tmp_path)
+    data[v2_spans(data)["ids"][0] + 1] = ord("a")
+    error = load_error(path, data)
+    assert error.where == "record 2"
+    assert "duplicate plan_id 'a'" in str(error)
+
+
+def test_v2_invalid_utf8_plan_id_rejected(tmp_path):
+    path, data = saved_v2(tmp_path)
+    data[v2_spans(data)["ids"][0] + 2] = 0xFF
+    error = load_error(path, data)
+    assert error.where == "record 3"
+    assert "not valid UTF-8" in str(error)
+
+
+def test_v2_non_increasing_offsets_rejected(tmp_path):
+    path, data = saved_v2(tmp_path)
+    struct.pack_into("<Q", data, v2_spans(data)["offsets"][0] + 16, 2)  # ends 1, 2, 2, 4, 5
+    error = load_error(path, data)
+    assert error.where == "record 3"
+
+
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_deeply_nested_json_line_rejected(tmp_path, line_no):
+    path = tmp_path / "idx.qdx"
+    save_v1(five_record_index(), path)
+    lines = path.read_text().splitlines()
+    lines[line_no - 1] = "[" * 100_000
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IndexFormatError) as exc:
+        Index.load(path)
+    assert exc.value.line_no == line_no
+
+
+@cache
+def fuzz_base():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "idx.qdx"
+        five_record_index().save(path)
+        return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_v2_file_fails_only_with_typed_errors(data):
+    mutated = bytearray(fuzz_base())
+    for _ in range(data.draw(st.integers(0, 3))):
+        mutated[data.draw(st.integers(0, len(mutated) - 1))] ^= data.draw(st.integers(1, 255))
+    mutated = mutated[: data.draw(st.integers(0, len(mutated)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "idx.qdx"
+        path.write_bytes(bytes(mutated))
+        try:
+            Index.load(path)
+            loaded = True
+        except (IndexFormatError, ConfigMismatch):
+            loaded = False
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["index", "show", "--index", str(path)])
+    assert code == (0 if loaded else 1)
+    assert "Traceback" not in stderr.getvalue()
 
 
 # -- concurrency smoke ------------------------------------------------------------------
@@ -370,3 +644,43 @@ def test_concurrent_readers_during_writes_see_consistent_states():
         t.join()
     assert not errors
     assert len(index) == 301
+
+
+def test_replacing_writers_never_show_readers_a_torn_snapshot():
+    # Writers replace rows in place while readers match; every snapshot must
+    # hold all 40 rows, each with the label of its own runtime.
+    index = Index.new(FingerprintConfig())
+    for i in range(40):
+        index.add(record(f"r{i:02d}", i, i, 1.0))
+    errors = []
+
+    def writer(first):
+        for n in range(150):
+            runtime = (1.0, 12.0, 40.0)[n % 3]
+            for i in range(first, 40, 3):
+                index.add(record(f"r{i:02d}", i, i, runtime))
+
+    def reader():
+        try:
+            for _ in range(150):
+                results = index.match(fp(0, 0), k=40)
+                assert len(results) == 40
+                for m in results:
+                    assert m.label is classify_runtime(m.runtime_seconds)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(w,)) for w in range(3)]
+    threads += [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(index) == 40
