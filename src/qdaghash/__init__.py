@@ -49,15 +49,8 @@ from .ingest import (
     resolve_reuse_references,
 )
 from .ngrams import NGramConfig, ngrams, node_hashes_ngram, node_signature_ngram, normalize_fact
-from .operators import REGISTRY_VERSION, OperatorRegistry, default_registry
+from .operators import REGISTRY_VERSION, operator_code
 from .qdag import PlanNode, QDag, StructuralProfile, structural_profile, validate_dag
-from .simhash import (
-    HASH_ALGORITHM_ID,
-    WeightedHash,
-    hamming,
-    simhash,
-    simhash_uniform,
-    string_hash64,
-)
+from .simhash import HASH_ALGORITHM_ID, hamming, simhash, string_hash64
 
 __version__ = "0.1.0"

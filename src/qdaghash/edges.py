@@ -11,7 +11,7 @@ lowest field some carry slack.
 
 from __future__ import annotations
 
-from .operators import OperatorRegistry, default_registry
+from .operators import operator_code
 from .qdag import QDag, StructuralProfile
 from .simhash import MASK64
 
@@ -44,19 +44,14 @@ def pack_edge_word(values: tuple[int, ...]) -> int:
     return word
 
 
-def edge_signature(
-    graph: QDag,
-    profile: StructuralProfile,
-    registry: OperatorRegistry | None = None,
-) -> int:
+def edge_signature(graph: QDag, profile: StructuralProfile) -> int:
     """64-bit structural signature of the graph's edge set.
 
     Commutative accumulation makes the result independent of edge-list
     order. An edgeless graph contributes one word per node with the node's
     features in the source fields and the target fields zero.
     """
-    registry = registry or default_registry()
-    code = {node.id: registry.code(node.operator_name) for node in graph.nodes}
+    code = {node.id: operator_code(node.operator_name) for node in graph.nodes}
 
     def endpoint_fields(node_id: int) -> tuple[int, int, int, int, int]:
         return (

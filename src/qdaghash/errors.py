@@ -94,6 +94,15 @@ class ReferenceCycle(InputError):
         )
 
 
+class ExpansionTooLarge(InputError):
+    def __init__(self, input_nodes: int, budget: int):
+        self.input_nodes = input_nodes
+        self.budget = budget
+        super().__init__(
+            f"reuse expansion of a {input_nodes}-node plan would exceed {budget} nodes"
+        )
+
+
 # -- corpus loading ----------------------------------------------------------
 
 class CorpusError(InputError):

@@ -20,7 +20,6 @@ from .errors import CorpusTooSmall, MissingRuntime
 from .fingerprint import FingerprintConfig, fingerprint_document
 from .index import ComplexityLabel, IndexRecord, _Columns, _two_step
 from .ingest import Corpus
-from .operators import OperatorRegistry
 
 GRANULARITY_NOTE = "per plan document (stage- vs query-level input is the caller's choice)"
 
@@ -101,7 +100,6 @@ def eval_leave_one_out(
     corpus: Corpus,
     config: FingerprintConfig | None = None,
     k: int = 10,
-    registry: OperatorRegistry | None = None,
 ) -> EvalReport:
     """Score 1-NN complexity prediction by leaving each document out."""
     documents = corpus.documents
@@ -114,7 +112,7 @@ def eval_leave_one_out(
     config = config or FingerprintConfig()
     records = [
         IndexRecord.from_runtime(
-            doc.plan_id, fingerprint_document(doc, config, registry), doc.runtime_seconds
+            doc.plan_id, fingerprint_document(doc, config), doc.runtime_seconds
         )
         for doc in documents
     ]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import OperatorRegistry, default_registry
+from .operators import operator_code
 from .qdag import PlanNode, QDag, StructuralProfile
-from .simhash import WeightedHash, simhash, string_hash64
+from .simhash import simhash, string_hash64
 
 FEATURE_SCHEMA_VERSION = "fs1"
 
@@ -80,12 +80,9 @@ def _slot_value(slot: str, raw: object) -> int:
     return value if value >= 0 else 0
 
 
-def extract_features(
-    node: PlanNode, registry: OperatorRegistry | None = None
-) -> NodeFeatureVector:
+def extract_features(node: PlanNode) -> NodeFeatureVector:
     """Fill the schema slots from the node's property bag (absent -> 0)."""
-    registry = registry or default_registry()
-    values = [registry.code(node.operator_name)]
+    values = [operator_code(node.operator_name)]
     for key in PROPERTY_KEYS:
         raw = node.properties.get(key)
         value = 0 if raw is None else _slot_value(key, raw)
@@ -100,19 +97,9 @@ def node_hash_structured(fv: NodeFeatureVector) -> int:
     return string_hash64(fv.canonical_string())
 
 
-def node_signature_structured(
-    graph: QDag,
-    profile: StructuralProfile,
-    registry: OperatorRegistry | None = None,
-) -> int:
-    """N(G): depth-weighted SimHash over all per-node feature hashes."""
-    registry = registry or default_registry()
+def node_signature_structured(graph: QDag, profile: StructuralProfile) -> int:
+    """N(G): SimHash over all per-node feature hashes, each weighted by its depth."""
     return simhash(
-        [
-            WeightedHash(
-                node_hash_structured(extract_features(node, registry)),
-                float(profile.depth[node.id]),
-            )
-            for node in graph.nodes
-        ]
+        [node_hash_structured(extract_features(node)) for node in graph.nodes],
+        [profile.depth[node.id] for node in graph.nodes],
     )

@@ -13,7 +13,6 @@ from .edges import edge_signature
 from .features import node_signature_structured
 from .ingest import PlanDocument
 from .ngrams import NGramConfig, node_signature_ngram
-from .operators import OperatorRegistry, default_registry
 from .qdag import QDag, structural_profile
 from .simhash import MASK64
 
@@ -58,26 +57,19 @@ class FingerprintConfig:
             raise ValueError(f"unknown approach {self.approach!r}")
 
 
-def fingerprint_graph(
-    graph: QDag,
-    config: FingerprintConfig | None = None,
-    registry: OperatorRegistry | None = None,
-) -> Fingerprint128:
+def fingerprint_graph(graph: QDag, config: FingerprintConfig | None = None) -> Fingerprint128:
     """Compute both signatures of a validated graph."""
     config = config or FingerprintConfig()
-    registry = registry or default_registry()
     profile = structural_profile(graph)
-    edge_sig = edge_signature(graph, profile, registry)
+    edge_sig = edge_signature(graph, profile)
     if config.approach == APPROACH_STRUCTURED:
-        node_sig = node_signature_structured(graph, profile, registry)
+        node_sig = node_signature_structured(graph, profile)
     else:
         node_sig = node_signature_ngram(graph, config.ngram)
     return Fingerprint128(edge_sig, node_sig, config.approach)
 
 
 def fingerprint_document(
-    doc: PlanDocument,
-    config: FingerprintConfig | None = None,
-    registry: OperatorRegistry | None = None,
+    doc: PlanDocument, config: FingerprintConfig | None = None
 ) -> Fingerprint128:
-    return fingerprint_graph(doc.graph, config, registry)
+    return fingerprint_graph(doc.graph, config)

@@ -22,6 +22,7 @@ from .errors import (
     CycleDetected,
     DuplicatePlanId,
     EmptyPlan,
+    ExpansionTooLarge,
     IndentError,
     InputError,
     MalformedDocument,
@@ -36,6 +37,11 @@ from .qdag import PlanNode, PropertyValue, QDag
 
 # Operators that stand in for a previously computed subgraph.
 REUSE_OPERATORS = frozenset({"ReusedExchange", "ReusedSubquery"})
+
+# Each nested reuse level can double the graph, so expansion stops with
+# ExpansionTooLarge past max(MAX_EXPANDED_NODES, EXPANSION_FACTOR * input nodes).
+MAX_EXPANDED_NODES = 10_000
+EXPANSION_FACTOR = 64
 
 # Property keys kept in the structured bag; anything else stays visible
 # only through the fact string.
@@ -53,6 +59,9 @@ class PlanDocument:
     graph: QDag
 
     def __post_init__(self) -> None:
+        # Index files store plan ids as UTF-8, which has no encoding for a lone surrogate.
+        if any("\ud800" <= ch <= "\udfff" for ch in self.plan_id):
+            raise SchemaViolation("plan_id", "must not contain a lone surrogate")
         if self.runtime_seconds is None:
             return
         value = float(self.runtime_seconds)
@@ -370,7 +379,8 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
 
     The target subtree is the referenced node plus everything feeding it,
     so fingerprinting sees the reused computation's full semantics. Inner
-    references expand first; chains that loop raise ReferenceCycle.
+    references expand first; chains that loop raise ReferenceCycle, and a
+    result larger than the expansion budget raises ExpansionTooLarge.
     """
     graph = doc.graph
     reuse_ids = [n.id for n in graph.nodes if n.operator_name in REUSE_OPERATORS]
@@ -394,6 +404,7 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
     nodes: dict[int, PlanNode] = {n.id: n for n in graph.nodes}
     edges: list[tuple[int, int]] = list(graph.edges)
     next_id = max(nodes) + 1
+    budget = max(MAX_EXPANDED_NODES, EXPANSION_FACTOR * len(nodes))
     # A reuse node whose target is itself a reuse node follows the chain to
     # the subtree the inner one was replaced with.
     redirect: dict[int, int] = {}
@@ -405,6 +416,8 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
         while target in redirect:
             target = redirect[target]
         closure = _feeding_closure(target, edges)
+        if len(nodes) - 1 + len(closure) > budget:
+            raise ExpansionTooLarge(len(graph.nodes), budget)
         fresh: dict[int, int] = {}
         for old in sorted(closure):
             fresh[old] = next_id

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import EmptyFact
 from .qdag import PlanNode, QDag
-from .simhash import simhash_uniform, string_hash64
+from .simhash import simhash, string_hash64
 
 # Per-instance expression ids ("x#12") would destroy cross-query similarity.
 _ID_TOKEN = re.compile(r"#\d+")
@@ -98,4 +98,4 @@ def node_signature_ngram(graph: QDag, cfg: NGramConfig | None = None) -> int:
     all_hashes: list[int] = []
     for node in graph.nodes:
         all_hashes.extend(node_hashes_ngram(node, cfg))
-    return simhash_uniform(all_hashes)
+    return simhash(all_hashes)

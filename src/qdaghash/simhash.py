@@ -3,14 +3,13 @@
 Every input hash votes +weight on bit positions where it has a 1 and
 -weight where it has a 0; output bit i is 1 exactly when the tally for
 position i is strictly positive (ties go to 0). Similar input multisets
-therefore produce words at small Hamming distance.
+therefore produce words at small Hamming distance. Weights are integers
+(node depths, or 1 per gram), so the tally is exact int64 arithmetic.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,17 +18,15 @@ from .errors import EmptyInput
 
 __all__ = [
     "HASH_ALGORITHM_ID",
-    "WeightedHash",
     "hamming",
     "simhash",
-    "simhash_uniform",
     "string_hash64",
 ]
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Integral weights below this bound are combined with exact int64 arithmetic.
-_INT_WEIGHT_LIMIT = float(1 << 31)
+# Keeps every int64 tally exact for fewer than 2**31 inputs.
+_WEIGHT_LIMIT = 1 << 31
 
 
 def string_hash64(data: str | bytes) -> int:
@@ -39,79 +36,38 @@ def string_hash64(data: str | bytes) -> int:
     return cityhash64(data)
 
 
-@dataclass(frozen=True)
-class WeightedHash:
-    """A 64-bit hash with a positive finite voting weight."""
-
-    hash: int
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.hash <= MASK64:
-            raise ValueError(f"hash out of 64-bit range: {self.hash}")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
-
-
-def _bit_matrix(hashes: Iterable[int], count: int) -> np.ndarray:
-    """(count, 64) uint8 matrix; column i holds bit i of each hash."""
-    arr = np.fromiter(hashes, dtype=np.uint64, count=count)
-    return np.unpackbits(
-        arr.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-    )
-
-
-def _word_from_bits(positive: np.ndarray) -> int:
-    word = 0
-    for i in np.nonzero(positive)[0]:
-        word |= 1 << int(i)
-    return word
-
-
-def simhash(hashes: Sequence[WeightedHash]) -> int:
-    """Combine weighted 64-bit hashes into one 64-bit similarity hash.
+def simhash(hashes: Sequence[int], weights: Sequence[int] | None = None) -> int:
+    """Combine 64-bit hashes, hashes[i] voting weights[i] (default 1), into one.
 
     Bit i of the result is 1 iff the weighted tally over position i is
     strictly positive. The result is invariant under permutation of the
-    input and under uniform positive scaling of the weights.
+    input and under uniform positive scaling of the weights. Weights must
+    be ints in [1, 2**31), one per hash.
     """
-    if not hashes:
+    n = len(hashes)
+    if n == 0:
         raise EmptyInput("simhash input")
-    if len(hashes) == 1:
-        # Every set bit tallies +w > 0, every clear bit -w <= 0.
-        return hashes[0].hash
-
-    weights = [wh.weight for wh in hashes]
-    if all(w.is_integer() and w < _INT_WEIGHT_LIMIT for w in weights):
-        bits = _bit_matrix((wh.hash for wh in hashes), len(hashes))
-        w = np.fromiter((int(v) for v in weights), dtype=np.int64, count=len(weights))
-        ones = w @ bits.astype(np.int64)  # per-bit sum of weights with bit set
-        total = int(w.sum())
-        # tally_i = ones_i - (total - ones_i) > 0  <=>  2*ones_i > total
-        return _word_from_bits(2 * ones > total)
-
-    # Non-integral weights: math.fsum is exactly rounded, so the per-bit
-    # tally (and hence its sign) does not depend on input order.
-    word = 0
-    for i in range(64):
-        mask = 1 << i
-        tally = math.fsum(
-            wh.weight if wh.hash & mask else -wh.weight for wh in hashes
-        )
-        if tally > 0:
-            word |= mask
-    return word
-
-
-def simhash_uniform(hashes: Sequence[int]) -> int:
-    """simhash with every weight 1; bulk path for n-gram fingerprints."""
-    if not hashes:
-        raise EmptyInput("simhash input")
-    if len(hashes) == 1:
-        return hashes[0] & MASK64
-    bits = _bit_matrix(iter(hashes), len(hashes))
-    ones = bits.sum(axis=0, dtype=np.int64)
-    return _word_from_bits(2 * ones > len(hashes))
+    try:
+        arr = np.fromiter(hashes, dtype=np.uint64, count=n)
+    except OverflowError as exc:
+        raise ValueError(f"hash out of 64-bit range: {exc}") from exc
+    # (n, 64) matrix; column i holds bit i of each hash.
+    bits = np.unpackbits(
+        arr.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"
+    )
+    if weights is None:
+        ones = bits.sum(axis=0, dtype=np.int64)
+        total = n
+    else:
+        if len(weights) != n:
+            raise ValueError(f"{len(weights)} weights for {n} hashes")
+        if not all(type(w) is int and 1 <= w < _WEIGHT_LIMIT for w in weights):
+            raise ValueError("weight must be an int in [1, 2**31)")
+        votes = np.fromiter(weights, dtype=np.int64, count=n)
+        ones = votes @ bits.astype(np.int64)  # per-bit sum of weights with bit set
+        total = int(votes.sum())
+    # tally_i = ones_i - (total - ones_i) > 0  <=>  2*ones_i > total
+    return int(np.packbits(2 * ones > total, bitorder="little").view("<u8")[0])
 
 
 def hamming(a: int, b: int) -> int:

@@ -94,6 +94,31 @@ def dag_graphs(draw, max_nodes: int = 12) -> QDag:
     return random_dag(random.Random(seed), n, extra)
 
 
+def nested_reuse_plan(levels: int, padding: int = 0) -> dict:
+    """JSON plan object of 1 + 2*levels + padding nodes that expands to
+    2**(levels+1) - 1 + padding nodes.
+
+    Level i unions the previous level's top with a ReusedExchange of it, so
+    every level doubles the expanded graph; padding Filters sit above the
+    last level and are never copied.
+    """
+    nodes = [{"id": 0, "operator": "Scan", "fact": "Scan t"}]
+    edges = []
+    top = 0
+    for _ in range(levels):
+        reuse, union = len(nodes), len(nodes) + 1
+        nodes.append({"id": reuse, "operator": "ReusedExchange", "fact": "ReusedExchange",
+                      "properties": {"reuses": top}})
+        nodes.append({"id": union, "operator": "Union", "fact": "Union"})
+        edges += [[top, union], [reuse, union]]
+        top = union
+    for _ in range(padding):
+        nodes.append({"id": len(nodes), "operator": "Filter", "fact": "Filter (a > 1)"})
+        edges.append([top, len(nodes) - 1])
+        top = len(nodes) - 1
+    return {"plan_id": "nested", "runtime_seconds": 1.0, "nodes": nodes, "edges": edges}
+
+
 def permuted(graph: QDag, rng: random.Random) -> QDag:
     """Same graph with node and edge list order shuffled."""
     nodes = list(graph.nodes)
@@ -105,17 +130,8 @@ def permuted(graph: QDag, rng: random.Random) -> QDag:
 
 @st.composite
 def weighted_hash_lists(draw, max_len: int = 24):
-    from qdaghash.simhash import WeightedHash
-
+    """(hashes, weights): 1..max_len 64-bit hashes with integer weights in 1..1000."""
     n = draw(st.integers(min_value=1, max_value=max_len))
-    items = []
-    for _ in range(n):
-        h = draw(st.integers(min_value=0, max_value=2**64 - 1))
-        w = draw(
-            st.one_of(
-                st.integers(min_value=1, max_value=1000).map(float),
-                st.floats(min_value=0.001, max_value=1e6, allow_nan=False, allow_infinity=False),
-            )
-        )
-        items.append(WeightedHash(h, w))
-    return items
+    hashes = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=1000), min_size=n, max_size=n))
+    return hashes, weights

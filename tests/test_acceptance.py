@@ -19,7 +19,7 @@ from qdaghash.evaluate import eval_leave_one_out
 from qdaghash.fingerprint import Fingerprint128, FingerprintConfig, fingerprint_document, fingerprint_graph
 from qdaghash.index import ComplexityLabel, Index, IndexRecord, classify_runtime
 from qdaghash.qdag import PlanNode, QDag
-from qdaghash.simhash import WeightedHash, hamming, simhash, string_hash64
+from qdaghash.simhash import hamming, simhash, string_hash64
 from qdaghash.synth import build_corpus, default_spec, perturb_one_property, rename_columns
 from test_simhash import hamming_oracle, simhash_oracle
 
@@ -38,14 +38,10 @@ def test_criterion_1_simhash_oracle_equivalence():
     start = time.perf_counter()
     mismatches = 0
     for trial in range(1000):
-        items = [
-            WeightedHash(
-                rng.getrandbits(64),
-                float(rng.randint(1, 20)) if trial % 2 else rng.uniform(0.1, 20.0),
-            )
-            for _ in range(rng.randint(1, 32))
-        ]
-        if simhash(items) != simhash_oracle(items):
+        n = rng.randint(1, 32)
+        hashes = [rng.getrandbits(64) for _ in range(n)]
+        weights = [rng.randint(1, 20) for _ in range(n)] if trial % 2 else None
+        if simhash(hashes, weights) != simhash_oracle(hashes, weights):
             mismatches += 1
     elapsed = time.perf_counter() - start
     assert mismatches == 0

@@ -3,9 +3,10 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
-from conftest import save_v1
+from conftest import nested_reuse_plan, save_v1
 
 from qdaghash.cli import main
 from qdaghash.index import Index
@@ -182,6 +183,36 @@ def test_eval_reports_accuracy(corpus_dir, capsys):
 def test_eval_bad_k_exits_2(corpus_dir, capsys):
     assert run_cli("eval", corpus_dir, "--k", "0") == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_plan_id_that_is_not_unicode_exits_2_and_keeps_the_index(tmp_path, plan_file, capsys):
+    index_path = tmp_path / "runs.qdx"
+    assert run_cli("index", "add", plan_file, "--index", index_path) == 0
+    before = index_path.read_bytes()
+    bad = tmp_path / "surrogate.json"
+    bad.write_text(json.dumps({
+        "plan_id": "q\ud800", "runtime_seconds": 1.0,
+        "nodes": [{"id": 0, "operator": "Scan", "fact": "Scan t"}], "edges": [],
+    }))
+    capsys.readouterr()
+    assert run_cli("index", "add", bad, "--index", index_path) == 2
+    err = capsys.readouterr().err
+    assert "surrogate.json" in err and "plan_id" in err
+    assert index_path.read_bytes() == before
+    assert run_cli("fingerprint", bad) == 2
+    assert "surrogate.json" in capsys.readouterr().err
+
+
+def test_nested_reuse_bomb_exits_2_quickly(tmp_path, capsys):
+    bomb = tmp_path / "bomb.json"
+    bomb.write_text(json.dumps(nested_reuse_plan(30)))  # 61 nodes, 2**31 - 1 expanded
+    index_path = tmp_path / "runs.qdx"
+    start = time.perf_counter()
+    assert run_cli("index", "add", bomb, "--index", index_path) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "bomb.json" in err and "reuse expansion" in err
+    assert not index_path.exists()
 
 
 def test_index_add_migrates_v1_file_to_v2(tmp_path, corpus_dir, capsys):

@@ -12,7 +12,7 @@ from qdaghash.features import (
     node_signature_structured,
 )
 from qdaghash.qdag import PlanNode, QDag, structural_profile
-from qdaghash.simhash import WeightedHash, string_hash64
+from qdaghash.simhash import string_hash64
 from test_simhash import simhash_oracle
 
 
@@ -111,13 +111,8 @@ def test_signature_matches_brute_force_oracle_on_two_join_plan():
     )
     profile = structural_profile(graph)
     expected = simhash_oracle(
-        [
-            WeightedHash(
-                node_hash_structured(extract_features(node)),
-                float(profile.depth[node.id]),
-            )
-            for node in graph.nodes
-        ]
+        [node_hash_structured(extract_features(node)) for node in graph.nodes],
+        [profile.depth[node.id] for node in graph.nodes],
     )
     assert node_signature_structured(graph, profile) == expected
 

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from conftest import nested_reuse_plan
 from qdaghash.errors import (
     CorpusLoadError,
     CycleDetected,
     DuplicatePlanId,
     EmptyPlan,
+    ExpansionTooLarge,
     IndentError,
     MalformedDocument,
     NegativeRuntime,
@@ -59,6 +61,17 @@ def test_missing_plan_id_named():
     broken = {k: v for k, v in MINIMAL.items() if k != "plan_id"}
     with pytest.raises(SchemaViolation) as exc:
         parse_plan_json(json.dumps(broken))
+    assert exc.value.field == "plan_id"
+
+
+@pytest.mark.parametrize("parse", [
+    lambda: parse_plan_json(json.dumps({**MINIMAL, "plan_id": "q\ud800"})),
+    lambda: parse_plan_text("-- plan_id: q\ud800\nScan t\n"),
+    lambda: parse_plan_text("Scan t\n", plan_id="\udcff"),
+], ids=["json", "text-header", "filename-stem"])
+def test_plan_id_that_is_not_unicode_rejected(parse):
+    with pytest.raises(SchemaViolation) as exc:
+        parse()
     assert exc.value.field == "plan_id"
 
 
@@ -334,6 +347,23 @@ def test_reuse_of_a_reuse_follows_the_chain():
     assert len(resolved.graph.nodes) == 7
     union_inputs = {u for u, v in resolved.graph.edges if v == 2}
     assert len(union_inputs) == 3
+
+
+def test_reuse_expansion_budget():
+    def resolve(levels, padding=0):
+        return resolve_reuse_references(parse_plan_json(json.dumps(nested_reuse_plan(levels, padding))))
+
+    # 25 nodes -> 8191, under the 10_000 floor of the budget
+    assert len(resolve(12).graph.nodes) == 2**13 - 1
+    # 27 nodes -> 16383, past it
+    with pytest.raises(ExpansionTooLarge) as exc:
+        resolve(13)
+    assert (exc.value.input_nodes, exc.value.budget) == (27, 10_000)
+    # 327 nodes -> 16683, under 64 * 327 = 20928
+    assert len(resolve(13, padding=300).graph.nodes) == 2**14 - 1 + 300
+    with pytest.raises(ExpansionTooLarge) as exc:
+        resolve(13, padding=200)  # 227 nodes -> 16583, past 64 * 227 = 14528
+    assert exc.value.budget == 14528
 
 
 # -- corpus loading ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from qdaghash.ngrams import (
     normalize_fact,
 )
 from qdaghash.qdag import PlanNode, QDag
-from qdaghash.simhash import WeightedHash, string_hash64
+from qdaghash.simhash import string_hash64
 from test_simhash import simhash_oracle
 
 
@@ -113,7 +113,7 @@ def test_signature_matches_brute_force_oracle():
     cfg = NGramConfig(n=3)
     flattened = []
     for node in graph.nodes:
-        flattened.extend(WeightedHash(h, 1.0) for h in node_hashes_ngram(node, cfg))
+        flattened.extend(node_hashes_ngram(node, cfg))
     assert node_signature_ngram(graph, cfg) == simhash_oracle(flattened)
 
 
