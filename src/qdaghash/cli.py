@@ -7,17 +7,22 @@ Exit codes: 0 success, 1 operational error, 2 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
+import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
-from .evaluate import eval_leave_one_out, render_report_json, render_report_text
-from .fingerprint import APPROACHES, FingerprintConfig, fingerprint_document
+from .evaluate import render_report_json, render_report_text, require_labelled, score_leave_one_out
+from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_document
+from .forkmap import fork_map
 from .index import Index, IndexHeader, IndexRecord, require_compatible
-from .ingest import PlanDocument, load_corpus, load_plan_file
-from .synth import default_spec, generate_corpus
+from .ingest import PlanDocument, collect_corpus, corpus_files, load_corpus, load_plan_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,6 +130,46 @@ def _load_plan(path: str) -> PlanDocument:
         raise CorpusLoadError(f"{path}: {exc}") from exc
 
 
+def _fingerprint_file(
+    path: str | Path, config: FingerprintConfig, require_runtime: bool
+) -> FingerprintedPlan:
+    doc = _load_plan(path)
+    if require_runtime and doc.runtime_seconds is None:
+        raise MissingRuntime(doc.plan_id)
+    return FingerprintedPlan(doc.plan_id, fingerprint_document(doc, config), doc.runtime_seconds)
+
+
+def _fingerprint_files(
+    paths: list[str], fingerprint_file: Callable[[str], FingerprintedPlan]
+) -> Iterator[FingerprintedPlan]:
+    """fingerprint_file over paths in order, spread over the usable CPUs.
+
+    A path that failed in a worker is redone here at its turn, so the first
+    bad path raises its own error, after every plan before it.
+    """
+    for path, plan in zip(paths, fork_map(fingerprint_file, paths)):
+        yield plan if plan is not None else fingerprint_file(path)
+
+
+@contextlib.contextmanager
+def _index_lock(index_path: Path) -> Iterator[None]:
+    """Hold an exclusive advisory lock on the sidecar file <index>.lock.
+
+    A directory that cannot take the lock file cannot take the saved index
+    either; that save then fails at its usual point, after the plans.
+    """
+    try:
+        fd = os.open(f"{index_path}.lock", os.O_RDONLY | os.O_CREAT, 0o666)
+    except OSError:
+        yield
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -132,12 +177,11 @@ def _load_plan(path: str) -> PlanDocument:
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stamp = IndexHeader.for_config(config)
-    for path in args.plans:
-        doc = _load_plan(path)
-        fp = fingerprint_document(doc, config)
+    fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=False)
+    for plan_id, fp, _ in _fingerprint_files(args.plans, fingerprint_file):
         if args.json:
             print(json.dumps({
-                "plan_id": doc.plan_id,
+                "plan_id": plan_id,
                 "approach": stamp.approach,
                 "hash_algo": stamp.hash_algo,
                 "node_config": stamp.node_config,
@@ -147,7 +191,7 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
             }))
         else:
             print(
-                f"plan_id={doc.plan_id} approach={stamp.approach} "
+                f"plan_id={plan_id} approach={stamp.approach} "
                 f"hash_algo={stamp.hash_algo} node_config={stamp.node_config} "
                 f"edge_layout={stamp.edge_layout_version} "
                 f"edge_fp={fp.edge_hex} node_fp={fp.node_hex}"
@@ -157,22 +201,20 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
 
 def cmd_index_add(args: argparse.Namespace) -> int:
     path = Path(args.index)
-    if path.exists():
-        index = Index.load(path)
-        config = _config_from_args(args, index.header)
-    else:
-        config = _config_from_args(args)
-        index = Index.new(config)
-    added = 0
-    for plan_path in args.plans:
-        doc = _load_plan(plan_path)
-        if doc.runtime_seconds is None:
-            raise MissingRuntime(doc.plan_id)
-        fp = fingerprint_document(doc, config)
-        index.add(IndexRecord.from_runtime(doc.plan_id, fp, doc.runtime_seconds))
-        added += 1
-    index.save(path)
-    print(f"indexed {added} plan(s); index now holds {len(index)} record(s) at {path}")
+    with _index_lock(path):
+        if path.exists():
+            index = Index.load(path)
+            config = _config_from_args(args, index.header)
+        else:
+            config = _config_from_args(args)
+            index = Index.new(config)
+        fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=True)
+        for plan in _fingerprint_files(args.plans, fingerprint_file):
+            index.add(IndexRecord.from_runtime(*plan))
+        index.save(path)
+    print(
+        f"indexed {len(args.plans)} plan(s); index now holds {len(index)} record(s) at {path}"
+    )
     return 0
 
 
@@ -258,14 +300,39 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    config = _config_from_args(args)
-    report = eval_leave_one_out(corpus, config, k=args.k)
+    """eval_leave_one_out with the plans fingerprinted on every usable CPU,
+    raising the same error first: corpus load failures, a bad flag, too few
+    plans, a missing runtime, a fingerprint error, a bad --k."""
+    try:
+        config = _config_from_args(args)
+    except ValueError:
+        load_corpus(args.corpus)
+        raise
+    files = corpus_files(args.corpus)
+    fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=True)
+    done = dict(zip(files, fork_map(fingerprint_file, files)))
+    # A file whose slot came back None is loaded again here: a load error is
+    # listed under the corpus rules, anything else waits for its turn below.
+    plans = collect_corpus(files, lambda f: done[f] or load_plan_file(f))
+    require_labelled(plans)
+    records = [
+        IndexRecord.from_runtime(
+            plan.plan_id,
+            plan.fingerprint
+            if isinstance(plan, FingerprintedPlan)
+            else fingerprint_document(plan, config),
+            plan.runtime_seconds,
+        )
+        for plan in plans
+    ]
+    report = score_leave_one_out(records, k=args.k)
     print(render_report_json(report) if args.json else render_report_text(report))
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .synth import default_spec, generate_corpus  # only gen needs it
+
     spec = default_spec(
         seed=args.seed,
         counts=(args.count, args.count, args.count),

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import CorpusTooSmall, MissingRuntime
-from .fingerprint import FingerprintConfig, fingerprint_document
+from .fingerprint import FingerprintConfig, FingerprintedPlan, fingerprint_document
 from .index import ComplexityLabel, IndexRecord, _Columns, _two_step
-from .ingest import Corpus
+from .ingest import Corpus, PlanDocument
 
 GRANULARITY_NOTE = "per plan document (stage- vs query-level input is the caller's choice)"
 
@@ -96,26 +97,36 @@ class EvalReport:
         )
 
 
+def require_labelled(plans: Sequence[PlanDocument | FingerprintedPlan]) -> None:
+    """Raise CorpusTooSmall below two plans, else MissingRuntime for the
+    first plan without a runtime label."""
+    if len(plans) < 2:
+        raise CorpusTooSmall(len(plans), 2)
+    for plan in plans:
+        if plan.runtime_seconds is None:
+            raise MissingRuntime(plan.plan_id)
+
+
 def eval_leave_one_out(
     corpus: Corpus,
     config: FingerprintConfig | None = None,
     k: int = 10,
 ) -> EvalReport:
     """Score 1-NN complexity prediction by leaving each document out."""
-    documents = corpus.documents
-    if len(documents) < 2:
-        raise CorpusTooSmall(len(documents), 2)
-    for doc in documents:
-        if doc.runtime_seconds is None:
-            raise MissingRuntime(doc.plan_id)
-
+    require_labelled(corpus.documents)
     config = config or FingerprintConfig()
     records = [
         IndexRecord.from_runtime(
             doc.plan_id, fingerprint_document(doc, config), doc.runtime_seconds
         )
-        for doc in documents
+        for doc in corpus.documents
     ]
+    return score_leave_one_out(records, k)
+
+
+def score_leave_one_out(records: Sequence[IndexRecord], k: int = 10) -> EvalReport:
+    """The leave-one-out report over at least two fingerprinted records of
+    one approach, in corpus order."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
@@ -148,7 +159,7 @@ def eval_leave_one_out(
     )
 
     return EvalReport(
-        approach=config.approach,
+        approach=records[0].fingerprint.approach,
         corpus_size=total,
         k=k,
         accuracy=correct / total,

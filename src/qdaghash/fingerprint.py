@@ -8,6 +8,7 @@ either the structured (feature-engineered, depth-weighted) or the n-gram
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .edges import edge_signature
 from .features import node_signature_structured
@@ -43,6 +44,14 @@ class Fingerprint128:
     @property
     def node_hex(self) -> str:
         return f"{self.node_sig:016x}"
+
+
+class FingerprintedPlan(NamedTuple):
+    """What an index or an eval keeps of a plan file."""
+
+    plan_id: str
+    fingerprint: Fingerprint128
+    runtime_seconds: float | None
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,113 @@
+"""An ordered map over forked worker processes, for the CLI's batch commands.
+
+fork_map(fn, items) is [fn(item) for item in items], spread over up to one
+process per usable CPU once the batch is large enough to repay a fork
+(PLANS_PER_WORKER items per worker). The parent forks the workers, works
+through its own share, then reads each worker's results back from one pipe
+and reaps it, so the results come back in input order whatever the count.
+
+Shares are strided, worker w taking items w, w + W, w + 2W, ...: a corpus
+sorted by file name keeps one plan family together, and families differ in
+cost by more than 2x, so contiguous halves would leave one process waiting.
+
+No exception crosses a pipe. A slot whose fn raised, or whose worker died
+or could not be forked, comes back as None, and the caller recomputes it
+in-process, where it raises the original exception at the point where a
+serial loop would.
+
+Only the CLI calls this: a library must not fork a caller's process, which
+may hold threads or locks that a forked child cannot use.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pickle
+import signal
+from typing import BinaryIO, Callable, Sequence, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+# Forking, reading back and reaping one worker took about 3 ms from a 30 MB
+# CLI process on a 2-core Xeon VM, and a plan takes 0.4-2 ms to load and
+# fingerprint, so a worker's share of at least 64 plans saves far more time
+# than the worker costs.
+PLANS_PER_WORKER = 64
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def worker_count(n_items: int) -> int:
+    return max(1, min(usable_cpus(), n_items // PLANS_PER_WORKER))
+
+
+def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R | None]:
+    """fn over items in input order; None where fn raised or its worker died.
+
+    fn must not return None. With a single worker everything runs here.
+    """
+    workers = worker_count(len(items))
+    results: list[R | None] = [None] * len(items)
+    unreaped: list[tuple[int, int, BinaryIO]] = []  # (share, pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            with contextlib.suppress(OSError):  # a share left without a worker stays None
+                unreaped.append((w, *_fork(fn, items[w::workers])))
+        results[::workers] = _attempt_all(fn, items[::workers])
+        while unreaped:
+            w, pid, pipe = unreaped[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del unreaped[0]
+            if status == 0 and payload:  # a worker exits 0 only after writing all of its results
+                results[w::workers] = pickle.loads(payload)
+        return results
+    finally:
+        for _, pid, pipe in unreaped:
+            pipe.close()
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _attempt_all(fn: Callable[[T], R], items: Sequence[T]) -> list[R | None]:
+    results: list[R | None] = []
+    for item in items:
+        try:
+            results.append(fn(item))
+        except Exception:
+            results.append(None)
+    return results
+
+
+def _fork(fn: Callable[[T], R], share: Sequence[T]) -> tuple[int, BinaryIO]:
+    """Start a worker on share; returns its pid and the read end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # The worker leaves by os._exit alone: no atexit handlers, no flush of
+        # stdio buffers it shares with the parent, no unwinding into the caller.
+        code = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_attempt_all(fn, share), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")

@@ -16,6 +16,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 from .errors import (
     CorpusLoadError,
@@ -488,34 +489,51 @@ def load_plan_file(path: str | Path) -> PlanDocument:
     return resolve_reuse_references(doc)
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Load every plan under a directory (or a single file), sorted by name."""
+def corpus_files(path: str | Path) -> list[Path]:
+    """The .json and .plan files under a directory, sorted by name, or [path]."""
     p = Path(path)
     if not p.exists():
         raise CorpusLoadError(f"no such path: {p}")
-    if p.is_dir():
-        files = sorted(
-            (f for f in p.iterdir() if f.suffix in (".json", ".plan")),
-            key=lambda f: f.name,
-        )
-        if not files:
-            raise CorpusLoadError(f"no .json or .plan files under {p}")
-    else:
-        files = [p]
+    if not p.is_dir():
+        return [p]
+    files = sorted(
+        (f for f in p.iterdir() if f.suffix in (".json", ".plan")),
+        key=lambda f: f.name,
+    )
+    if not files:
+        raise CorpusLoadError(f"no .json or .plan files under {p}")
+    return files
 
-    documents: list[PlanDocument] = []
+
+P = TypeVar("P")
+
+
+def collect_corpus(files: Iterable[Path], load: Callable[[Path], P]) -> list[P]:
+    """load(f) for each file in order, under the corpus rules.
+
+    Each result must have a plan_id. One seen before raises DuplicatePlanId
+    as soon as it is reached; files whose load raised an InputError are all
+    listed in one CorpusLoadError at the end.
+    """
+    loaded: list[P] = []
     failures: list[tuple[str, Exception]] = []
     seen: dict[str, str] = {}
     for f in files:
         try:
-            doc = load_plan_file(f)
+            item = load(f)
         except InputError as exc:
             failures.append((f.name, exc))
             continue
-        if doc.plan_id in seen:
-            raise DuplicatePlanId(doc.plan_id, [seen[doc.plan_id], f.name])
-        seen[doc.plan_id] = f.name
-        documents.append(doc)
+        plan_id = item.plan_id  # type: ignore[attr-defined]
+        if plan_id in seen:
+            raise DuplicatePlanId(plan_id, [seen[plan_id], f.name])
+        seen[plan_id] = f.name
+        loaded.append(item)
     if failures:
         raise CorpusLoadError(failures)
-    return Corpus(tuple(documents), str(p))
+    return loaded
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load every plan under a directory (or a single file), sorted by name."""
+    return Corpus(tuple(collect_corpus(corpus_files(path), load_plan_file)), str(Path(path)))

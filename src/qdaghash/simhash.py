@@ -41,12 +41,15 @@ def simhash(hashes: Sequence[int], weights: Sequence[int] | None = None) -> int:
 
     Bit i of the result is 1 iff the weighted tally over position i is
     strictly positive. The result is invariant under permutation of the
-    input and under uniform positive scaling of the weights. Weights must
-    be ints in [1, 2**31), one per hash.
+    input and under uniform positive scaling of the weights. Hashes must be
+    ints in [0, 2**64); weights must be ints in [1, 2**31), one per hash.
     """
     n = len(hashes)
     if n == 0:
         raise EmptyInput("simhash input")
+    # np.fromiter would truncate a float and take a bool as 0 or 1.
+    if not set(map(type, hashes)) <= {int}:
+        raise ValueError("hash must be an int")
     try:
         arr = np.fromiter(hashes, dtype=np.uint64, count=n)
     except OverflowError as exc:

@@ -25,6 +25,17 @@ def _children_import_src():
         yield
 
 
+@pytest.fixture(autouse=True)
+def _no_child_left_behind():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
+
+
 def save_v1(index, path) -> None:
     """Write index as a version 1 file: the JSON header line, then one JSON
     record per line, as earlier releases of Index.save did."""

@@ -267,3 +267,28 @@ def test_unreadable_plan_path_exits_nonzero(tmp_path, capsys):
     code = run_cli("fingerprint", missing)
     assert code in (1, 2)
     assert capsys.readouterr().err
+
+
+def test_concurrent_index_adds_keep_both_sets(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_corpus(default_spec(seed=5, counts=(40, 40, 40)), corpus)
+    plans = sorted(corpus.glob("*.json"))
+    halves = plans[::2], plans[1::2]
+    index_path = tmp_path / "runs.qdx"
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-m", "qdaghash", "index", "add", *map(str, half),
+             "--index", str(index_path)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for half in halves
+    ]
+    for writer in writers:
+        _, err = writer.communicate(timeout=60)
+        assert writer.returncode == 0, err
+    shown = subprocess.run(
+        [sys.executable, "-m", "qdaghash", "index", "show", "--index", str(index_path), "--json"],
+        capture_output=True, text=True, check=True,
+    )
+    stored = {r["plan_id"] for r in json.loads(shown.stdout)["records"]}
+    assert stored == {p.stem for p in plans}

@@ -1,0 +1,292 @@
+"""The ordered fork-map, and the batch commands that spread over it.
+
+The worker count is forced by patching forkmap.usable_cpus (and, for the
+helper itself, PLANS_PER_WORKER), never by a flag.
+"""
+
+import errno
+import hashlib
+import json
+import os
+import shutil
+import signal
+
+import pytest
+
+from qdaghash import cli, evaluate, forkmap
+from qdaghash.cli import main
+from qdaghash.errors import EmptyFact, QdagHashError
+from qdaghash.evaluate import eval_leave_one_out
+from qdaghash.fingerprint import APPROACHES
+from qdaghash.ingest import load_corpus
+from qdaghash.synth import default_spec, generate_corpus
+
+
+def use_workers(monkeypatch, n, plans_per_worker=forkmap.PLANS_PER_WORKER):
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: n)
+    monkeypatch.setattr(forkmap, "PLANS_PER_WORKER", plans_per_worker)
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# -- the helper --------------------------------------------------------------
+
+def test_worker_count_rule(monkeypatch):
+    per = forkmap.PLANS_PER_WORKER
+    use_workers(monkeypatch, 2)
+    assert [forkmap.worker_count(n) for n in (0, 1, 2 * per - 1, 2 * per, 100 * per)] == [
+        1, 1, 1, 2, 2
+    ]
+    use_workers(monkeypatch, 1)
+    assert forkmap.worker_count(100 * per) == 1
+
+
+def test_no_fork_means_one_cpu(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert forkmap.usable_cpus() == 1
+
+
+def test_results_come_back_in_input_order(monkeypatch):
+    use_workers(monkeypatch, 3, plans_per_worker=1)
+    results = forkmap.fork_map(lambda x: (x * x, os.getpid()), list(range(10)))
+    assert [square for square, _ in results] == [x * x for x in range(10)]
+    pids = [pid for _, pid in results]
+    assert len(set(pids)) == 3 and pids[0] == os.getpid()
+    assert pids[:3] * 3 + pids[:1] == pids  # item i ran in share i % 3
+
+
+def test_one_worker_runs_in_process(monkeypatch):
+    use_workers(monkeypatch, 1, plans_per_worker=1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert forkmap.fork_map(str, list(range(100))) == [str(x) for x in range(100)]
+
+
+def test_an_item_that_raises_comes_back_none(monkeypatch):
+    use_workers(monkeypatch, 2, plans_per_worker=1)
+
+    def fn(x):
+        if x in (4, 5):  # one in the parent's share, one in the worker's
+            raise ValueError(x)
+        return x
+
+    assert forkmap.fork_map(fn, list(range(8))) == [0, 1, 2, 3, None, None, 6, 7]
+
+
+def test_a_killed_worker_leaves_its_share_none(monkeypatch):
+    use_workers(monkeypatch, 2, plans_per_worker=1)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    assert forkmap.fork_map(fn, list(range(6))) == [0, None, 2, None, 4, None]
+
+
+def test_a_worker_that_cannot_fork_leaves_its_share_none(monkeypatch):
+    use_workers(monkeypatch, 3, plans_per_worker=1)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert forkmap.fork_map(lambda x: x, list(range(6))) == [0, None, None, 3, None, None]
+
+
+# -- the batch commands ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus42(tmp_path_factory):
+    out = tmp_path_factory.mktemp("seed42") / "corpus"
+    generate_corpus(default_spec(seed=42), out)  # 300 plans
+    return out
+
+
+@pytest.fixture
+def batch150(corpus42, tmp_path):
+    """150 plans of all three families, copied so that a test may spoil them."""
+    out = tmp_path / "batch"
+    out.mkdir()
+    for plan in sorted(corpus42.glob("*.json"))[::2]:
+        shutil.copy(plan, out / plan.name)
+    return out
+
+
+def edit_plan(path, **changes):
+    obj = json.loads(path.read_text())
+    for key, value in changes.items():
+        if value is None:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    path.write_text(json.dumps(obj))
+
+
+def library_eval_error(corpus):
+    """The error line of the in-process library path, load_corpus then
+    eval_leave_one_out, which `eval` must print."""
+    with pytest.raises(QdagHashError) as failure:
+        eval_leave_one_out(load_corpus(corpus))
+    return f"error: {failure.value}\n"
+
+
+def batch_outcomes(capsys, corpus, index, approach="structured"):
+    """(exit code, stdout, stderr) of eval, fingerprint and index add over corpus,
+    and the index file's sha256 afterwards."""
+    plans = sorted(corpus.glob("*.json"))
+    index.unlink(missing_ok=True)
+    return [
+        run(capsys, "eval", corpus, "--approach", approach, "--json"),
+        run(capsys, "fingerprint", "--json", "--approach", approach, *plans),
+        run(capsys, "index", "add", *plans, "--index", index, "--approach", approach),
+        hashlib.sha256(index.read_bytes()).hexdigest() if index.exists() else None,
+    ]
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_output_does_not_depend_on_worker_count(corpus42, tmp_path, monkeypatch, capsys, approach):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus42, corpus)
+    # Replaced within the batch: same plan_id, another runtime, a later name.
+    replaced = corpus / "zz-replaced.json"
+    shutil.copy(corpus / "scanchain-005.json", replaced)
+    edit_plan(replaced, runtime_seconds=99.0)
+    # eval refuses a repeated plan_id, so it reads the corpus without the replacement.
+    plans = sorted(corpus42.glob("*.json"))
+    index = tmp_path / "runs.qdx"
+
+    def outcomes():
+        index.unlink(missing_ok=True)
+        return [
+            run(capsys, "eval", corpus42, "--approach", approach, "--json"),
+            run(capsys, "fingerprint", "--json", "--approach", approach, *plans),
+            run(capsys, "index", "add", *plans[:200], "--index", index, "--approach", approach),
+            run(capsys, "index", "add", *sorted(corpus.glob("*.json"))[150:], "--index", index),
+            hashlib.sha256(index.read_bytes()).hexdigest(),
+        ]
+
+    use_workers(monkeypatch, 1)
+    serial = outcomes()
+    assert [outcome[0] for outcome in serial[:4]] == [0, 0, 0, 0]
+    assert len(serial[1][1].splitlines()) == 300
+    for workers in (2, 3):
+        use_workers(monkeypatch, workers)
+        assert outcomes() == serial
+
+
+def test_bad_file_mid_batch_fails_as_in_one_process(batch150, tmp_path, monkeypatch, capsys):
+    plans = sorted(batch150.glob("*.json"))
+    bad, also_bad = plans[75], plans[120]
+    bad.write_text("{not json")
+    edit_plan(also_bad, nodes=None)
+    index = tmp_path / "runs.qdx"
+    assert run(capsys, "index", "add", *plans[:10], "--index", index)[0] == 0
+    before = index.read_bytes()
+
+    def outcomes():
+        return [
+            run(capsys, "index", "add", *plans, "--index", index),
+            run(capsys, "eval", batch150),
+            run(capsys, "fingerprint", *plans),
+        ]
+
+    use_workers(monkeypatch, 1)
+    serial = outcomes()
+    use_workers(monkeypatch, 2)
+    assert outcomes() == serial
+    (add_code, _, add_err), (eval_code, _, eval_err), (fp_code, fp_out, fp_err) = serial
+    assert add_code == 2 and bad.name in add_err and index.read_bytes() == before
+    assert eval_code == 2 and eval_err == library_eval_error(batch150)
+    assert "failed to load corpus" in eval_err
+    assert bad.name in eval_err and also_bad.name in eval_err
+    # A bad corpus is reported before a bad flag.
+    assert run(capsys, "eval", batch150, "--ngram-n", "0") == (2, "", eval_err)
+    assert fp_code == 2 and bad.name in fp_err
+    assert [line.split()[0] for line in fp_out.splitlines()] == [
+        f"plan_id={plan.stem}" for plan in plans[:75]
+    ]
+
+
+def spoil(batch, defect, monkeypatch):
+    plans = sorted(batch.glob("*.json"))
+    if defect == "duplicate_plan_id":
+        # Reached before the unreadable file after it, so it wins over that.
+        shutil.copy(plans[10], batch / f"{plans[100].stem}-copy.json")
+        plans[120].write_text("{not json")
+    if defect in ("missing_runtime", "fingerprint_error_then_missing_runtime"):
+        edit_plan(plans[80], runtime_seconds=None)
+        edit_plan(plans[120], runtime_seconds=None)
+    if defect.startswith("fingerprint_error"):
+        fingerprint_document = cli.fingerprint_document
+        unlucky = {plans[40].stem, plans[60].stem}
+
+        def failing(doc, config):
+            if doc.plan_id in unlucky:
+                raise EmptyFact(doc.plan_id)
+            return fingerprint_document(doc, config)
+
+        for module in (cli, evaluate):
+            monkeypatch.setattr(module, "fingerprint_document", failing)
+
+
+@pytest.mark.parametrize("defect", [
+    "duplicate_plan_id",
+    "missing_runtime",
+    "fingerprint_error",
+    "fingerprint_error_then_missing_runtime",
+])
+def test_defect_mid_batch_fails_as_in_one_process(
+    batch150, tmp_path, monkeypatch, capsys, defect
+):
+    spoil(batch150, defect, monkeypatch)
+    use_workers(monkeypatch, 1)
+    serial = batch_outcomes(capsys, batch150, tmp_path / "runs.qdx")
+    use_workers(monkeypatch, 2)
+    assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
+    (eval_code, _, eval_err), _, (add_code, _, _), sha = serial
+    assert eval_code == add_code == 2 and sha is None
+    expected = {
+        "duplicate_plan_id": "appears in more than one file",
+        "missing_runtime": "no runtime_seconds label",
+        "fingerprint_error": "fact normalizes to the empty string",
+        "fingerprint_error_then_missing_runtime": "no runtime_seconds label",
+    }[defect]
+    assert expected in eval_err and eval_err == library_eval_error(batch150)
+
+
+def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch, capsys):
+    use_workers(monkeypatch, 1)
+    serial = batch_outcomes(capsys, batch150, tmp_path / "runs.qdx")
+    parent = os.getpid()
+    fingerprint_document = cli.fingerprint_document
+    killed = []
+
+    def dying(doc, config):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        killed.append(doc.plan_id)  # reached only in the parent
+        return fingerprint_document(doc, config)
+
+    monkeypatch.setattr(cli, "fingerprint_document", dying)
+    use_workers(monkeypatch, 2)
+    assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
+    assert serial[0][0] == 0
+    assert len(killed) == 3 * 150  # eval, fingerprint, index add: each did all 150 here
+
+
+def test_single_plan_commands_never_fork(corpus42, tmp_path, monkeypatch, capsys):
+    plan = sorted(corpus42.glob("*.json"))[0]
+    index = tmp_path / "runs.qdx"
+    assert run(capsys, "index", "add", plan, "--index", index)[0] == 0
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    for argv in (
+        ["fingerprint", plan],
+        ["match", plan, "--index", index],
+        ["predict", plan, "--index", index],
+    ):
+        assert run(capsys, *argv)[0] == 0

@@ -110,6 +110,11 @@ def test_weight_validation():
     for bad_hash in (2**64, -1):
         with pytest.raises(ValueError, match="64-bit range"):
             simhash([1, bad_hash])
+    for bad_hashes in ([1.5], [True, 3], [2.9, 7], [3, "4"]):
+        with pytest.raises(ValueError, match="hash must be an int"):
+            simhash(bad_hashes)
+        with pytest.raises(ValueError, match="hash must be an int"):
+            simhash(bad_hashes, [1] * len(bad_hashes))
     assert simhash([1, 2], [1, 2**31 - 1]) == 2
 
 
