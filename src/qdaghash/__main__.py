@@ -1,5 +1,17 @@
+"""Entry point of `python -m qdaghash` and of the `qdaghash` console script."""
+
+import os
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def main() -> int:
+    # numpy starts an OpenBLAS thread pool when it loads, and qdaghash calls
+    # no BLAS routine; a value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main as cli_main
+
+    return cli_main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,6 +73,7 @@ from .fingerprint import (
     FingerprintConfig,
 )
 from .ngrams import NGramConfig
+from .operators import REGISTRY_VERSION
 from .simhash import HASH_ALGORITHM_ID
 
 INDEX_FORMAT_VERSION = 2
@@ -154,6 +155,10 @@ class MatchResult:
     runtime_seconds: float
 
 
+# The operator table of every index written before headers recorded it.
+_UNSTAMPED_OPERATOR_REGISTRY = "ops1"
+
+
 @dataclass(frozen=True)
 class IndexHeader:
     version: int
@@ -161,6 +166,7 @@ class IndexHeader:
     approach: str
     node_config: str
     edge_layout_version: str
+    operator_registry: str
 
     @classmethod
     def for_config(cls, config: FingerprintConfig) -> "IndexHeader":
@@ -175,6 +181,7 @@ class IndexHeader:
             approach=config.approach,
             node_config=node_config,
             edge_layout_version=EDGE_LAYOUT_VERSION,
+            operator_registry=REGISTRY_VERSION,
         )
 
     def to_config(self) -> FingerprintConfig:
@@ -196,12 +203,17 @@ class IndexHeader:
         }
         key = "feature_schema_version" if self.approach == APPROACH_STRUCTURED else "ngram_config"
         obj[key] = self.node_config
+        obj["operator_registry"] = self.operator_registry
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict[str, object]) -> "IndexHeader":
         """Inverse of to_json_obj; a missing key raises KeyError and a value
-        of the wrong JSON type raises TypeError, nothing is coerced."""
+        of the wrong JSON type raises TypeError, nothing is coerced.
+
+        A header without operator_registry predates the key and was written
+        with the only table of that time.
+        """
         approach = _json_str(obj, "approach")
         key = "feature_schema_version" if approach == APPROACH_STRUCTURED else "ngram_config"
         version = obj["version"]
@@ -213,6 +225,11 @@ class IndexHeader:
             approach=approach,
             node_config=_json_str(obj, key),
             edge_layout_version=_json_str(obj, "edge_layout_version"),
+            operator_registry=(
+                _json_str(obj, "operator_registry")
+                if "operator_registry" in obj
+                else _UNSTAMPED_OPERATOR_REGISTRY
+            ),
         )
 
 
@@ -226,7 +243,7 @@ def _json_str(obj: dict[str, object], key: str) -> str:
 # Header fields whose mismatch makes the stored fingerprints meaningless to
 # this build, so Index.load refuses them. Every other field, hash_algo
 # included, is refused only at use, so such a file stays inspectable.
-_REFUSED_AT_LOAD = ("feature_schema_version", "edge_layout_version")
+_REFUSED_AT_LOAD = ("feature_schema_version", "edge_layout_version", "operator_registry")
 
 
 def require_compatible(
@@ -461,7 +478,8 @@ class Index:
 
 def _replace_file(path: Path, parts: Iterable[bytes]) -> None:
     """Write parts to a temporary file beside path, fsync it, then rename it
-    over path; on any failure the temporary file is removed."""
+    over path; on any failure the temporary file is removed, and an OSError
+    names path rather than the temporary file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -472,8 +490,10 @@ def _replace_file(path: Path, parts: Iterable[bytes]) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

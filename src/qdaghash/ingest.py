@@ -50,6 +50,11 @@ _RECOGNIZED_KEYS = frozenset(PROPERTY_KEYS) | {"reuses"}
 
 _DEFAULT_PLAN_ID = "plan"
 
+# Fingerprints hash operator names and facts, and index files store plan
+# ids, all as UTF-8, which has no encoding for a lone surrogate (a JSON
+# "\ud800" escape decodes to one).
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 @dataclass(frozen=True)
 class PlanDocument:
@@ -60,8 +65,7 @@ class PlanDocument:
     graph: QDag
 
     def __post_init__(self) -> None:
-        # Index files store plan ids as UTF-8, which has no encoding for a lone surrogate.
-        if any("\ud800" <= ch <= "\udfff" for ch in self.plan_id):
+        if _LONE_SURROGATE.search(self.plan_id):
             raise SchemaViolation("plan_id", "must not contain a lone surrogate")
         if self.runtime_seconds is None:
             return
@@ -103,6 +107,10 @@ def parse_plan_json(data: bytes | str) -> PlanDocument:
         raise MalformedDocument(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting deeper than the decoder's stack, or an integer with more
+        # digits than int() converts.
+        raise MalformedDocument(str(exc)) from exc
     if not isinstance(obj, dict):
         raise MalformedDocument("top level must be a JSON object")
 
@@ -172,6 +180,8 @@ def _parse_json_node(item: object, i: int) -> PlanNode:
         # Unrecognized properties stay visible to the n-gram approach
         # through the fact string.
         fact = fact + " " + " ".join(extras)
+    if _LONE_SURROGATE.search(fact):
+        raise SchemaViolation(f"nodes[{i}].fact", "must not contain a lone surrogate")
 
     return PlanNode(node_id, operator, fact, properties)
 
@@ -242,7 +252,13 @@ def parse_plan_text(text: str, plan_id: str | None = None) -> PlanDocument:
                 f"line {line_no}: cannot read an operator name from {fact!r}"
             )
         operator = name.group(0)
-        nodes.append(PlanNode(seq, operator, fact, extract_text_properties(operator, fact)))
+        if _LONE_SURROGATE.search(fact):
+            raise MalformedDocument(f"line {line_no}: contains a lone surrogate")
+        try:
+            properties = extract_text_properties(operator, fact)
+        except ValueError as exc:  # an integer with more digits than int() converts
+            raise MalformedDocument(f"line {line_no}: {exc}") from exc
+        nodes.append(PlanNode(seq, operator, fact, properties))
         if level > 0:
             edges.append((seq, stack[level - 1]))  # child feeds its parent
         stack[level:] = [seq]

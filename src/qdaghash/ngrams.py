@@ -4,17 +4,26 @@ Each node's fact line is treated as a character stream: normalize, slide a
 length-n window, hash every gram, then combine the grams of all nodes with
 uniform-weight SimHash. Repeated grams keep their multiplicity by default;
 set dedupe for per-node set semantics.
+
+A plan's grams are hashed in one numpy pass, with no loop over grams: the
+normalized facts are joined and UTF-8-encoded once, every gram becomes a
+(start, length) byte span of that buffer, and cityhash64_spans hashes all
+spans at once. Each span is the UTF-8 encoding of its gram, so the hashes
+are those of string_hash64 on each gram.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
+import numpy as np
+
+from .cityhash import cityhash64_spans
 from .errors import EmptyFact
 from .qdag import PlanNode, QDag
-from .simhash import simhash, string_hash64
+from .simhash import simhash
 
 # Per-instance expression ids ("x#12") would destroy cross-query similarity.
 _ID_TOKEN = re.compile(r"#\d+")
@@ -78,24 +87,47 @@ def ngrams(fact: str, cfg: NGramConfig | None = None) -> list[str]:
     return [text[i:i + cfg.n] for i in range(len(text) - cfg.n + 1)]
 
 
-@lru_cache(maxsize=1 << 16)
-def _gram_hash(gram: str) -> int:
-    return string_hash64(gram)
+def _gram_hashes(facts: Sequence[str], cfg: NGramConfig) -> np.ndarray:
+    """string_hash64 of every gram of every fact, fact by fact in gram order.
+
+    With dedupe, a repeat of a hash earlier in the same fact is dropped.
+    """
+    texts = [normalize_fact(fact, cfg) for fact in facts]
+    for fact, text in zip(facts, texts):
+        if not text:
+            raise EmptyFact(fact)
+    joined = "".join(texts)
+    data = joined.encode("utf-8")
+    chars = np.fromiter(map(len, texts), np.int64, len(texts))
+    # A fact shorter than n is one gram: the whole fact.
+    grams = np.maximum(chars - (cfg.n - 1), 1)
+    total = int(grams.sum())
+    # Gram g of fact f starts at char offset (start of f) + (g - first gram of f).
+    shift = (np.cumsum(chars) - chars) - (np.cumsum(grams) - grams)
+    start = np.arange(total) + np.repeat(shift, grams)
+    end = start + np.repeat(np.minimum(chars, cfg.n), grams)
+    if not joined.isascii():
+        # Char offset -> byte offset: the positions of the non-continuation
+        # bytes, then the end of the buffer.
+        raw = np.frombuffer(data, np.uint8)
+        offsets = np.append(np.flatnonzero((raw & 0xC0) != 0x80), len(data))
+        start, end = offsets[start], offsets[end]
+    hashes = cityhash64_spans(data, start, end - start)
+    if cfg.dedupe:
+        fact_of = np.repeat(np.arange(len(texts)), grams)
+        order = np.lexsort((hashes, fact_of))  # stable: ties keep gram order
+        h, f = hashes[order], fact_of[order]
+        first = np.ones(total, bool)
+        first[1:] = (h[1:] != h[:-1]) | (f[1:] != f[:-1])
+        hashes = hashes[np.sort(order[first])]
+    return hashes
 
 
 def node_hashes_ngram(node: PlanNode, cfg: NGramConfig | None = None) -> list[int]:
     """64-bit hash per gram of the node's fact (multiset unless dedupe)."""
-    cfg = cfg or NGramConfig()
-    hashes = [_gram_hash(g) for g in ngrams(node.fact, cfg)]
-    if cfg.dedupe:
-        hashes = list(dict.fromkeys(hashes))
-    return hashes
+    return _gram_hashes([node.fact], cfg or NGramConfig()).tolist()
 
 
 def node_signature_ngram(graph: QDag, cfg: NGramConfig | None = None) -> int:
     """N(G): uniform-weight SimHash over every gram hash of every node."""
-    cfg = cfg or NGramConfig()
-    all_hashes: list[int] = []
-    for node in graph.nodes:
-        all_hashes.extend(node_hashes_ngram(node, cfg))
-    return simhash(all_hashes)
+    return simhash(_gram_hashes([node.fact for node in graph.nodes], cfg or NGramConfig()))

@@ -36,24 +36,33 @@ def string_hash64(data: str | bytes) -> int:
     return cityhash64(data)
 
 
-def simhash(hashes: Sequence[int], weights: Sequence[int] | None = None) -> int:
+def simhash(
+    hashes: Sequence[int] | np.ndarray, weights: Sequence[int] | None = None
+) -> int:
     """Combine 64-bit hashes, hashes[i] voting weights[i] (default 1), into one.
 
     Bit i of the result is 1 iff the weighted tally over position i is
     strictly positive. The result is invariant under permutation of the
     input and under uniform positive scaling of the weights. Hashes must be
-    ints in [0, 2**64); weights must be ints in [1, 2**31), one per hash.
+    ints in [0, 2**64) or a one-dimensional uint64 array; weights must be
+    ints in [1, 2**31), one per hash.
     """
     n = len(hashes)
     if n == 0:
         raise EmptyInput("simhash input")
-    # np.fromiter would truncate a float and take a bool as 0 or 1.
-    if not set(map(type, hashes)) <= {int}:
-        raise ValueError("hash must be an int")
-    try:
-        arr = np.fromiter(hashes, dtype=np.uint64, count=n)
-    except OverflowError as exc:
-        raise ValueError(f"hash out of 64-bit range: {exc}") from exc
+    if isinstance(hashes, np.ndarray):
+        # The dtype bounds every value, so no per-item check is needed.
+        if hashes.dtype != np.uint64 or hashes.ndim != 1:
+            raise ValueError(f"hash array must be 1-D uint64, got {hashes.ndim}-D {hashes.dtype}")
+        arr = hashes
+    else:
+        # np.fromiter would truncate a float and take a bool as 0 or 1.
+        if not set(map(type, hashes)) <= {int}:
+            raise ValueError("hash must be an int")
+        try:
+            arr = np.fromiter(hashes, dtype=np.uint64, count=n)
+        except OverflowError as exc:
+            raise ValueError(f"hash out of 64-bit range: {exc}") from exc
     # (n, 64) matrix; column i holds bit i of each hash.
     bits = np.unpackbits(
         arr.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"

@@ -67,6 +67,13 @@ def test_malformed_file_exits_2_and_names_the_file(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_json_nested_past_the_recursion_limit_exits_2_and_names_the_file(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert run_cli("fingerprint", deep) == 2
+    assert "deep.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("predict", "--k", "0"),
     ("match", "--top", "-1"),
@@ -201,6 +208,14 @@ def test_plan_id_that_is_not_unicode_exits_2_and_keeps_the_index(tmp_path, plan_
     assert index_path.read_bytes() == before
     assert run_cli("fingerprint", bad) == 2
     assert "surrogate.json" in capsys.readouterr().err
+
+
+def test_index_add_into_missing_directory_names_the_index_path(tmp_path, plan_file, capsys):
+    index_path = tmp_path / "nodir" / "runs.qdx"
+    assert run_cli("index", "add", plan_file, "--index", index_path) == 1
+    err = capsys.readouterr().err
+    assert str(index_path) in err and ".tmp" not in err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_nested_reuse_bomb_exits_2_quickly(tmp_path, capsys):

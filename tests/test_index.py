@@ -331,6 +331,38 @@ def test_foreign_edge_layout_rejected_at_load(tmp_path):
         Index.load(path)
 
 
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of the index file at path."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def test_foreign_operator_registry_rejected_at_load(tmp_path):
+    path = tmp_path / "idx.qdx"
+    five_record_index().save(path)
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["operator_registry"] == "ops1"
+    rewrite_header(path, lambda header: header.update(operator_registry="ops9"))
+    with pytest.raises(ConfigMismatch) as exc:
+        Index.load(path)
+    assert exc.value.field == "operator_registry"
+
+
+@pytest.mark.parametrize("write", [Index.save, save_v1], ids=["v2", "v1"])
+def test_header_without_operator_registry_reads_as_ops1(tmp_path, write):
+    # files written before the header stamped the operator table
+    index = five_record_index()
+    path = tmp_path / "idx.qdx"
+    write(index, path)
+    rewrite_header(path, lambda header: header.pop("operator_registry"))
+    loaded = Index.load(path)
+    assert loaded.header.operator_registry == "ops1"
+    assert dataclasses.replace(loaded.header, version=index.header.version) == index.header
+    assert loaded.records() == index.records()
+    require_compatible(loaded.header, FingerprintConfig())
+
+
 def test_foreign_hash_algo_loads_but_fails_at_use(tmp_path):
     # the file stays inspectable; fingerprinting against it is refused
     index = five_record_index()
@@ -438,6 +470,7 @@ def test_replace_after_load_keeps_the_row(tmp_path):
     ("approach", 1),
     ("feature_schema_version", None),
     ("edge_layout_version", 1),
+    ("operator_registry", None),
 ])
 def test_header_value_of_wrong_type_rejected(tmp_path, key, value):
     path = tmp_path / "idx.qdx"

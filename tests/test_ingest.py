@@ -1,8 +1,11 @@
 """Both plan formats, reuse expansion, and corpus loading."""
 
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nested_reuse_plan
 from qdaghash.errors import (
@@ -14,6 +17,7 @@ from qdaghash.errors import (
     IndentError,
     MalformedDocument,
     NegativeRuntime,
+    QdagHashError,
     ReferenceCycle,
     SchemaViolation,
     UnresolvedReference,
@@ -73,6 +77,28 @@ def test_plan_id_that_is_not_unicode_rejected(parse):
     with pytest.raises(SchemaViolation) as exc:
         parse()
     assert exc.value.field == "plan_id"
+
+
+@pytest.mark.parametrize("parse,error", [
+    (lambda: parse_plan_json("[" * 100_000), MalformedDocument),
+    (lambda: parse_plan_json('{"a": ' * 100_000), MalformedDocument),
+    (lambda: parse_plan_json(json.dumps(MINIMAL).replace('"id": 0', '"id": ' + "9" * 5000)),
+     MalformedDocument),
+    (lambda: parse_plan_text("Exchange partitions=" + "9" * 5000), MalformedDocument),
+    (lambda: parse_plan_text("Union\n  ReusedExchange reuses=" + "9" * 5000), MalformedDocument),
+    (lambda: parse_plan_text("Scan t\udcff"), MalformedDocument),
+    (lambda: parse_plan_json(json.dumps({**MINIMAL, "nodes": [
+        {"id": 0, "operator": "Scan", "fact": "Scan t\ud800"}]})), SchemaViolation),
+    (lambda: parse_plan_json(json.dumps({**MINIMAL, "nodes": [
+        {"id": 0, "operator": "Scan", "fact": "Scan t", "properties": {"x": "\udfff"}}]})),
+     SchemaViolation),
+], ids=["deep-array", "deep-object", "long-integer", "long-partitions", "long-reuses",
+        "text-surrogate", "json-surrogate", "json-property-surrogate"])
+def test_hostile_input_fails_with_a_typed_error(parse, error):
+    # Python's own limits (decoder recursion depth, int() digit count) and
+    # text no fingerprint can encode surface as input errors.
+    with pytest.raises(error):
+        parse()
 
 
 def test_missing_fact_named():
@@ -420,3 +446,99 @@ def test_text_plan_without_header_uses_filename_stem(tmp_path):
     (tmp_path / "stages.plan").write_text("Scan t\n")
     corpus = load_corpus(tmp_path)
     assert corpus.documents[0].plan_id == "stages"
+
+
+# -- fuzzing both parsers ----------------------------------------------------------
+
+FUZZ_OPERATORS = ("Scan", "Filter", "Project", "Exchange", "SortMergeJoin", "HashAggregate",
+                  "Union", "ReusedExchange", "ReusedSubquery")
+FUZZ_TAILS = ("", "[a:int, b:string]", "(x#12 > 5)", "hashpartitioning(a) partitions=200",
+              "keys=[a, b] output=[a]", "Inner BuildLeft", "num_partitions=7", "reuses=x", "Ünï ✓")
+# A parse plus reuse expansion of these small plans takes milliseconds.
+PARSE_BUDGET_S = 2.0
+
+
+@st.composite
+def plan_trees(draw, max_nodes: int = 16):
+    """(parents, operators, reuse targets, fact tails) of a random plan tree:
+    node 0 is the root and parents[i] < i. Reuse nodes are leaves; a target
+    may also be missing, the node itself or one of its ancestors."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    parents = [None] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    inner = set(parents)
+    operators = [draw(st.sampled_from(FUZZ_OPERATORS[:-2] if i in inner else FUZZ_OPERATORS))
+                 for i in range(n)]
+    # Mostly a node with children, so that the expansion copies a subtree.
+    targets = st.integers(min_value=-1, max_value=n)
+    if len(inner) > 1:
+        targets = st.one_of(st.sampled_from(sorted(inner - {None})), targets)
+    reuses = [draw(targets) if op.startswith("Reused") else None for op in operators]
+    tails = [draw(st.sampled_from(FUZZ_TAILS)) for _ in range(n)]
+    return parents, operators, reuses, tails
+
+
+def tree_json(tree) -> bytes:
+    parents, operators, reuses, tails = tree
+    nodes = []
+    for i, op in enumerate(operators):
+        node = {"id": i, "operator": op, "fact": f"{op} {tails[i]}".rstrip()}
+        if reuses[i] is not None:
+            node["properties"] = {"reuses": reuses[i]}
+        nodes.append(node)
+    edges = [[i, p] for i, p in enumerate(parents) if p is not None]
+    return json.dumps({"plan_id": "fuzz", "runtime_seconds": 1.5, "nodes": nodes,
+                       "edges": edges}).encode()
+
+
+def tree_text(tree) -> bytes:
+    """The tree in preorder, so line numbers are node ids as the parser assigns them."""
+    parents, operators, reuses, tails = tree
+    lines = ["-- plan_id: fuzz", "-- runtime_seconds: 1.5"]
+
+    def walk(node: int, depth: int) -> None:
+        reuse = "" if reuses[node] is None else f"reuses={reuses[node]}"
+        lines.append("  " * depth + " ".join(filter(None, (operators[node], tails[node], reuse))))
+        for child in (i for i, p in enumerate(parents) if p == node):
+            walk(child, depth + 1)
+
+    walk(0, 0)
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """data as it is, with one to four bytes replaced, or truncated."""
+    kind = draw(st.sampled_from(["intact", "flipped", "truncated"]))
+    if kind == "truncated":
+        return data[: draw(st.integers(min_value=0, max_value=len(data) - 1))]
+    out = bytearray(data)
+    for _ in range(draw(st.integers(min_value=1, max_value=4)) if kind == "flipped" else 0):
+        out[draw(st.integers(min_value=0, max_value=len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+def parse_and_expand_within_budget(parse) -> None:
+    """parse() then reuse expansion, as load_plan_file does: either succeeds
+    or raises a QdagHashError, within the time budget."""
+    start = time.perf_counter()
+    try:
+        resolve_reuse_references(parse())
+    except QdagHashError:
+        pass
+    assert time.perf_counter() - start < PARSE_BUDGET_S
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_json_plan_fails_only_with_typed_errors(data):
+    raw = data.draw(damaged(tree_json(data.draw(plan_trees()))))
+    parse_and_expand_within_budget(lambda: parse_plan_json(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_text_plan_fails_only_with_typed_errors(data):
+    raw = data.draw(damaged(tree_text(data.draw(plan_trees()))))
+    # Undecodable bytes become U+FFFD; load_plan_file rejects them before parsing.
+    parse_and_expand_within_budget(lambda: parse_plan_text(raw.decode("utf-8", "replace")))
+

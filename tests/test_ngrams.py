@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_node, permuted, random_dag
 from qdaghash.errors import EmptyFact
@@ -14,7 +16,7 @@ from qdaghash.ngrams import (
     normalize_fact,
 )
 from qdaghash.qdag import PlanNode, QDag
-from qdaghash.simhash import string_hash64
+from qdaghash.simhash import simhash, string_hash64
 from test_simhash import simhash_oracle
 
 
@@ -148,3 +150,49 @@ def test_single_character_edit_moves_few_bits():
     near = hamming(node_signature_ngram(graph), node_signature_ngram(edited))
     far = hamming(node_signature_ngram(graph), node_signature_ngram(unrelated))
     assert near < far
+
+
+# -- the one-pass signature against per-gram hashing ------------------------------
+
+def reference_hashes(fact: str, cfg: NGramConfig) -> list[int]:
+    """string_hash64 of each gram in order, repeats dropped under dedupe."""
+    hashes = [string_hash64(g) for g in ngrams(fact, cfg)]
+    return list(dict.fromkeys(hashes)) if cfg.dedupe else hashes
+
+
+# Mostly arbitrary code points (multi-byte UTF-8, case changes that alter
+# length), with id tokens and whitespace runs for the normalizer to act on.
+facts = st.lists(
+    st.text(
+        st.one_of(st.sampled_from("#0123456789  \t\nab"), st.characters(codec="utf-8")),
+        min_size=1,
+        max_size=40,
+    ),
+    min_size=1,
+    max_size=6,
+)
+configs = st.builds(
+    NGramConfig,
+    n=st.integers(min_value=1, max_value=20),
+    collapse_whitespace=st.booleans(),
+    strip_ids=st.booleans(),
+    lowercase=st.booleans(),
+    dedupe=st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facts, configs)
+def test_one_pass_signature_equals_per_gram_reference(fact_list, cfg):
+    nodes = [PlanNode(i, fact[0], fact) for i, fact in enumerate(fact_list)]
+    graph = QDag("plan", nodes, [])
+    try:
+        per_node = [reference_hashes(fact, cfg) for fact in fact_list]
+    except EmptyFact:
+        with pytest.raises(EmptyFact):
+            node_signature_ngram(graph, cfg)
+        return
+    for node, expected in zip(nodes, per_node):
+        assert node_hashes_ngram(node, cfg) == expected
+    flat = [h for hashes in per_node for h in hashes]
+    assert node_signature_ngram(graph, cfg) == simhash(flat)

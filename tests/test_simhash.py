@@ -4,6 +4,7 @@ validation, and the metric laws of Hamming distance."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,23 @@ def test_matches_oracle_on_random_inputs():
             assert simhash(hashes, weights) == simhash_oracle(hashes, weights), f"trial {trial}"
         else:
             assert simhash(hashes) == simhash_oracle(hashes), f"trial {trial}"
+
+
+def test_uint64_array_equals_int_list():
+    rng = random.Random(44)
+    for _ in range(100):
+        hashes, weights = random_items(rng, rng.randint(1, 40))
+        array = np.array(hashes, np.uint64)
+        assert simhash(array) == simhash(hashes)
+        assert simhash(array, weights) == simhash(hashes, weights)
+
+
+def test_array_of_other_dtype_or_shape_rejected():
+    for bad in (np.array([1, 2], np.int64), np.array([1.0]), np.zeros((2, 2), np.uint64)):
+        with pytest.raises(ValueError, match="1-D uint64"):
+            simhash(bad)
+    with pytest.raises(EmptyInput):
+        simhash(np.array([], np.uint64))
 
 
 def test_uniform_path_equals_general_combiner():
