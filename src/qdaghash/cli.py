@@ -331,6 +331,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
+    if not 0 <= args.perturbation <= 1:  # NaN included
+        raise ValueError(f"perturbation must be in [0, 1], got {args.perturbation}")
     from .synth import default_spec, generate_corpus  # only gen needs it
 
     spec = default_spec(

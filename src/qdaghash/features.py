@@ -9,6 +9,7 @@ fingerprint identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .operators import operator_code
@@ -75,6 +76,8 @@ def _slot_value(slot: str, raw: object) -> int:
     if isinstance(raw, str):
         return CATEGORY_CODES.get(slot, {}).get(raw.strip().lower(), 0)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return 0
+    if isinstance(raw, float) and not math.isfinite(raw):  # JSON NaN, Infinity
         return 0
     value = int(raw)
     return value if value >= 0 else 0

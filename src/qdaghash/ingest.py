@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -34,7 +33,7 @@ from .errors import (
     UnresolvedReference,
 )
 from .features import PROPERTY_KEYS
-from .qdag import PlanNode, PropertyValue, QDag
+from .qdag import PlanNode, PropertyValue, QDag, _topological_order
 
 # Operators that stand in for a previously computed subgraph.
 REUSE_OPERATORS = frozenset({"ReusedExchange", "ReusedSubquery"})
@@ -396,66 +395,66 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
 
     The target subtree is the referenced node plus everything feeding it,
     so fingerprinting sees the reused computation's full semantics. Inner
-    references expand first; chains that loop raise ReferenceCycle, and a
-    result larger than the expansion budget raises ExpansionTooLarge.
+    references expand first, over one predecessor map, so copying is
+    linear in the expanded graph; its edges are listed by consumer, in node
+    order. Chains that loop raise ReferenceCycle, and a result larger than
+    the expansion budget raises ExpansionTooLarge.
     """
     graph = doc.graph
     reuse_ids = [n.id for n in graph.nodes if n.operator_name in REUSE_OPERATORS]
     if not reuse_ids:
         return doc
 
-    by_id = graph.node_by_id()
+    nodes = graph.node_by_id()
     targets: dict[int, int] = {}
     for rid in reuse_ids:
-        raw = by_id[rid].properties.get("reuses")
+        raw = nodes[rid].properties.get("reuses")
         if raw is None:
             raise UnresolvedReference(rid, "missing 'reuses' property")
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise UnresolvedReference(rid, f"'reuses' must be an integer node id, got {raw!r}")
-        if raw not in by_id:
+        if raw not in nodes:
             raise UnresolvedReference(rid, f"target node id {raw} is not in the graph")
         targets[rid] = raw
 
-    order = _resolution_order(graph.edges, reuse_ids, targets)
+    preds: dict[int, list[int]] = {i: [] for i in nodes}
+    succs: dict[int, list[int]] = {rid: [] for rid in reuse_ids}
+    for u, v in graph.edges:
+        preds[v].append(u)
+        if u in succs:
+            succs[u].append(v)
+    order = _resolution_order(preds, reuse_ids, targets)
 
-    nodes: dict[int, PlanNode] = {n.id: n for n in graph.nodes}
-    edges: list[tuple[int, int]] = list(graph.edges)
     next_id = max(nodes) + 1
     budget = max(MAX_EXPANDED_NODES, EXPANSION_FACTOR * len(nodes))
-    # A reuse node whose target is itself a reuse node follows the chain to
-    # the subtree the inner one was replaced with.
-    redirect: dict[int, int] = {}
-
     for rid in order:
-        if any(v == rid for _, v in edges):
+        if preds[rid]:
             raise UnresolvedReference(rid, "reuse node must not have incoming edges")
+        # A reuse of a reuse node copies the first target that is not one:
+        # every reuse node feeding it expanded earlier, so its subtree is
+        # final and matches, id for id, the copy the inner node made.
         target = targets[rid]
-        while target in redirect:
-            target = redirect[target]
-        closure = _feeding_closure(target, edges)
+        while target in targets:
+            target = targets[target]
+        closure = sorted(_feeding_closure(target, preds))
         if len(nodes) - 1 + len(closure) > budget:
             raise ExpansionTooLarge(len(graph.nodes), budget)
-        fresh: dict[int, int] = {}
-        for old in sorted(closure):
-            fresh[old] = next_id
-            next_id += 1
-        for old in sorted(closure):
+        fresh = {old: next_id + i for i, old in enumerate(closure)}
+        next_id += len(closure)
+        for old in closure:
             nodes[fresh[old]] = replace(nodes[old], id=fresh[old])
-        copied = [(fresh[u], fresh[v]) for u, v in edges if u in closure and v in closure]
-        rewired = [(fresh[target], v) for u, v in edges if u == rid]
-        edges = [e for e in edges if e[0] != rid] + copied + rewired
-        redirect[rid] = fresh[target]
+            preds[fresh[old]] = [fresh[p] for p in preds[old]]
+        for v in succs[rid]:
+            inputs = preds[v]
+            inputs[inputs.index(rid)] = fresh[target]
         del nodes[rid]
 
-    new_graph = QDag(graph.id, tuple(nodes.values()), tuple(edges))
-    return replace(doc, graph=new_graph)
+    edges = tuple((u, v) for v in nodes for u in preds[v])
+    return replace(doc, graph=QDag(graph.id, tuple(nodes.values()), edges))
 
 
-def _feeding_closure(root: int, edges: list[tuple[int, int]]) -> set[int]:
+def _feeding_closure(root: int, preds: dict[int, list[int]]) -> set[int]:
     """root plus every node with a data-flow path into root."""
-    preds = defaultdict(list)
-    for u, v in edges:
-        preds[v].append(u)
     seen = {root}
     stack = [root]
     while stack:
@@ -467,17 +466,15 @@ def _feeding_closure(root: int, edges: list[tuple[int, int]]) -> set[int]:
 
 
 def _resolution_order(
-    edges: tuple[tuple[int, int], ...],
+    preds: dict[int, list[int]],
     reuse_ids: list[int],
     targets: dict[int, int],
 ) -> list[int]:
     """Order reuse nodes so inner references expand before outer ones."""
-    from .qdag import _topological_order
-
     reuse_set = set(reuse_ids)
     dep_edges = []
     for rid in reuse_ids:
-        inner = _feeding_closure(targets[rid], list(edges)) & reuse_set
+        inner = _feeding_closure(targets[rid], preds) & reuse_set
         for other in inner:
             if other == rid:
                 raise ReferenceCycle([rid, rid])

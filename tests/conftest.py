@@ -130,6 +130,28 @@ def nested_reuse_plan(levels: int, padding: int = 0) -> dict:
     return {"plan_id": "nested", "runtime_seconds": 1.0, "nodes": nodes, "edges": edges}
 
 
+def wide_reuse_plan(reuses: int) -> dict:
+    """JSON plan object of 4 + 2*reuses nodes that expands to 4 + 5*reuses.
+
+    A 4-node chain is reused `reuses` times; a ladder of Unions joins the
+    chain's top with every ReusedExchange in turn.
+    """
+    chain = (("Scan", "Scan t [a:int, b:string]"), ("Filter", "Filter (a > 1)"),
+             ("Project", "Project [a] output=[a]"),
+             ("Exchange", "Exchange hashpartitioning(a) partitions=200"))
+    nodes = [{"id": i, "operator": op, "fact": fact} for i, (op, fact) in enumerate(chain)]
+    edges = [[0, 1], [1, 2], [2, 3]]
+    top = 3
+    for _ in range(reuses):
+        reuse, union = len(nodes), len(nodes) + 1
+        nodes.append({"id": reuse, "operator": "ReusedExchange", "fact": "ReusedExchange",
+                      "properties": {"reuses": 3}})
+        nodes.append({"id": union, "operator": "Union", "fact": "Union"})
+        edges += [[top, union], [reuse, union]]
+        top = union
+    return {"plan_id": "wide", "runtime_seconds": 1.0, "nodes": nodes, "edges": edges}
+
+
 def permuted(graph: QDag, rng: random.Random) -> QDag:
     """Same graph with node and edge list order shuffled."""
     nodes = list(graph.nodes)

@@ -267,6 +267,44 @@ def test_gen_writes_deterministic_corpus(tmp_path, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--count", "0", "count must be >= 1"),
+    ("--count", "-1", "count must be >= 1"),
+    ("--perturbation", "5", "perturbation must be in [0, 1]"),
+    ("--perturbation", "-1", "perturbation must be in [0, 1]"),
+    ("--perturbation", "1.01", "perturbation must be in [0, 1]"),
+    ("--perturbation", "nan", "perturbation must be in [0, 1]"),
+])
+def test_gen_rejects_senseless_flags_and_writes_nothing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert run_cli("gen", out, flag, value) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["0", "1"])
+def test_gen_accepts_perturbation_bounds(tmp_path, rate):
+    assert run_cli("gen", tmp_path / "out", "--count", "1", "--perturbation", rate) == 0
+    assert len(list((tmp_path / "out").iterdir())) == 3
+
+
+@pytest.mark.parametrize("approach", ["structured", "ngram"])
+@pytest.mark.parametrize("key", ["num_partitions", "row_width"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_property_reads_as_absent(tmp_path, capsys, approach, key, literal):
+    nodes = ('[{"id": 0, "operator": "Scan", "fact": "Scan t"%s}, '
+             '{"id": 1, "operator": "Exchange", "fact": "Exchange hashpartitioning(a)"}]')
+    plan = '{"plan_id": "p", "runtime_seconds": 2.0, "nodes": %s, "edges": [[0, 1]]}'
+    plain, odd = tmp_path / "plain.json", tmp_path / "odd.json"
+    plain.write_text(plan % (nodes % ""))
+    odd.write_text(plan % (nodes % f', "properties": {{"{key}": {literal}}}'))
+    assert run_cli("fingerprint", plain, "--approach", approach, "--json") == 0
+    expected = json.loads(capsys.readouterr().out)
+    assert run_cli("fingerprint", odd, "--approach", approach, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert run_cli("index", "add", odd, "--index", tmp_path / "runs.qdx", "--approach", approach) == 0
+
+
 def test_non_utf8_index_exits_1(plan_file, tmp_path, capsys):
     index_path = tmp_path / "runs.qdx"
     assert run_cli("index", "add", plan_file, "--index", index_path) == 0

@@ -2,12 +2,13 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nested_reuse_plan
+from conftest import nested_reuse_plan, wide_reuse_plan
 from qdaghash.errors import (
     CorpusLoadError,
     CycleDetected,
@@ -22,9 +23,11 @@ from qdaghash.errors import (
     SchemaViolation,
     UnresolvedReference,
 )
-from qdaghash.fingerprint import FingerprintConfig, fingerprint_document
+from qdaghash.fingerprint import APPROACHES, FingerprintConfig, fingerprint_document
 from qdaghash.ingest import (
+    PlanDocument,
     load_corpus,
+    load_plan_file,
     parse_plan_json,
     parse_plan_text,
     render_plan_json,
@@ -32,6 +35,7 @@ from qdaghash.ingest import (
 )
 from qdaghash.qdag import PlanNode, QDag
 from qdaghash.synth import build_corpus, default_spec
+from reuse_reference import reference_resolve
 
 MINIMAL = {"plan_id": "q1", "nodes": [{"id": 0, "operator": "Scan", "fact": "Scan lineitem"}], "edges": []}
 
@@ -392,6 +396,82 @@ def test_reuse_expansion_budget():
     assert exc.value.budget == 14528
 
 
+@st.composite
+def reuse_dags(draw, max_nodes: int = 12) -> PlanDocument:
+    """A random DAG whose nodes may be reuse nodes. Targets may be plain
+    nodes, other reuse nodes (chains), the node itself, its ancestors,
+    missing or not an integer; some draws also add edges into reuse nodes
+    and repeat edges."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    position = draw(st.permutations(range(n)))  # edges run up this order
+    operators = [draw(st.sampled_from(("Scan", "Filter", "Project", "Exchange", "HashAggregate",
+                                       "Union", "ReusedExchange", "ReusedSubquery")))
+                 for _ in range(n)]
+    reuse = [i for i, op in enumerate(operators) if op.startswith("Reused")]
+    into_reuse = draw(st.booleans()) and draw(st.booleans())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [
+        (u, v) for u, v in draw(st.lists(pairs, max_size=3 * n))
+        if position[u] < position[v] and (into_reuse or v not in reuse)
+    ]
+
+    def target(i: int):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            return draw(st.sampled_from([n, 10**6, "x", True, None]))
+        if kind <= 5:  # a chain, or the node itself
+            return draw(st.sampled_from(reuse))
+        if kind <= 8:  # any node: one the reuse node feeds makes a cycle
+            return draw(st.integers(0, n - 1))
+        upstream = [j for j in range(n) if position[j] < position[i]]
+        return draw(st.sampled_from(upstream or [i]))
+
+    nodes = []
+    for i, op in enumerate(operators):
+        reuses = target(i) if i in reuse else None
+        nodes.append(PlanNode(i, op, f"{op} n{i}", {} if reuses is None else {"reuses": reuses}))
+    order = draw(st.permutations(nodes))
+    return PlanDocument("drawn", None, QDag("drawn", order, edges))
+
+
+def expansion_outcome(resolve, doc):
+    """The expanded node tuple and edge multiset, or the error class and message."""
+    try:
+        graph = resolve(doc).graph
+    except QdagHashError as exc:
+        return type(exc), str(exc)
+    return graph.nodes, Counter(graph.edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(reuse_dags())
+def test_reuse_expansion_equals_reference(doc):
+    assert expansion_outcome(resolve_reuse_references, doc) == expansion_outcome(reference_resolve, doc)
+
+
+@pytest.mark.parametrize("reuses", [1, 2, 50, 250])
+def test_wide_reuse_expansion_and_fingerprints_equal_reference(reuses):
+    doc = parse_plan_json(json.dumps(wide_reuse_plan(reuses)))
+    resolved, expected = resolve_reuse_references(doc), reference_resolve(doc)
+    assert len(resolved.graph.nodes) == 4 + 5 * reuses
+    assert resolved.graph.nodes == expected.graph.nodes
+    assert Counter(resolved.graph.edges) == Counter(expected.graph.edges)
+    for approach in APPROACHES:
+        cfg = FingerprintConfig(approach=approach)
+        assert fingerprint_document(resolved, cfg) == fingerprint_document(expected, cfg)
+
+
+def test_wide_reuse_plan_loads_in_linear_time(tmp_path):
+    # 8,004 input nodes, 20,004 expanded; a per-reuse rebuild of the edge
+    # list made this take tens of seconds.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_reuse_plan(4000)))
+    start = time.perf_counter()
+    doc = load_plan_file(path)
+    assert time.perf_counter() - start < 1.0
+    assert len(doc.graph.nodes) == 20_004
+
+
 # -- corpus loading ------------------------------------------------------------------
 
 def test_directory_loads_sorted_by_filename(tmp_path):
@@ -454,15 +534,20 @@ FUZZ_OPERATORS = ("Scan", "Filter", "Project", "Exchange", "SortMergeJoin", "Has
                   "Union", "ReusedExchange", "ReusedSubquery")
 FUZZ_TAILS = ("", "[a:int, b:string]", "(x#12 > 5)", "hashpartitioning(a) partitions=200",
               "keys=[a, b] output=[a]", "Inner BuildLeft", "num_partitions=7", "reuses=x", "Ünï ✓")
-# A parse plus reuse expansion of these small plans takes milliseconds.
+# Values of recognized numeric properties that int() cannot take or that are
+# out of range.
+FUZZ_NUMBERS = (float("nan"), float("inf"), float("-inf"), 1e308, -3, "x")
+# A parse, reuse expansion and both fingerprints of these small plans take
+# milliseconds.
 PARSE_BUDGET_S = 2.0
 
 
 @st.composite
 def plan_trees(draw, max_nodes: int = 16):
-    """(parents, operators, reuse targets, fact tails) of a random plan tree:
-    node 0 is the root and parents[i] < i. Reuse nodes are leaves; a target
-    may also be missing, the node itself or one of its ancestors."""
+    """(parents, operators, reuse targets, fact tails, odd properties) of a
+    random plan tree: node 0 is the root and parents[i] < i. Reuse nodes are
+    leaves; a target may also be missing, the node itself or one of its
+    ancestors. Some nodes get a (key, value) property from FUZZ_NUMBERS."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     parents = [None] + [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
     inner = set(parents)
@@ -474,16 +559,21 @@ def plan_trees(draw, max_nodes: int = 16):
         targets = st.one_of(st.sampled_from(sorted(inner - {None})), targets)
     reuses = [draw(targets) if op.startswith("Reused") else None for op in operators]
     tails = [draw(st.sampled_from(FUZZ_TAILS)) for _ in range(n)]
-    return parents, operators, reuses, tails
+    odd = st.one_of(st.none(), st.tuples(st.sampled_from(("num_partitions", "row_width")),
+                                         st.sampled_from(FUZZ_NUMBERS)))
+    return parents, operators, reuses, tails, [draw(odd) for _ in range(n)]
 
 
 def tree_json(tree) -> bytes:
-    parents, operators, reuses, tails = tree
+    parents, operators, reuses, tails, odd = tree
     nodes = []
     for i, op in enumerate(operators):
         node = {"id": i, "operator": op, "fact": f"{op} {tails[i]}".rstrip()}
+        properties = dict(filter(None, [odd[i]]))
         if reuses[i] is not None:
-            node["properties"] = {"reuses": reuses[i]}
+            properties["reuses"] = reuses[i]
+        if properties:
+            node["properties"] = properties
         nodes.append(node)
     edges = [[i, p] for i, p in enumerate(parents) if p is not None]
     return json.dumps({"plan_id": "fuzz", "runtime_seconds": 1.5, "nodes": nodes,
@@ -492,12 +582,13 @@ def tree_json(tree) -> bytes:
 
 def tree_text(tree) -> bytes:
     """The tree in preorder, so line numbers are node ids as the parser assigns them."""
-    parents, operators, reuses, tails = tree
+    parents, operators, reuses, tails, odd = tree
     lines = ["-- plan_id: fuzz", "-- runtime_seconds: 1.5"]
 
     def walk(node: int, depth: int) -> None:
         reuse = "" if reuses[node] is None else f"reuses={reuses[node]}"
-        lines.append("  " * depth + " ".join(filter(None, (operators[node], tails[node], reuse))))
+        prop = "" if odd[node] is None else "=".join(map(str, odd[node]))
+        lines.append("  " * depth + " ".join(filter(None, (operators[node], tails[node], prop, reuse))))
         for child in (i for i, p in enumerate(parents) if p == node):
             walk(child, depth + 1)
 
@@ -518,11 +609,14 @@ def damaged(draw, data: bytes) -> bytes:
 
 
 def parse_and_expand_within_budget(parse) -> None:
-    """parse() then reuse expansion, as load_plan_file does: either succeeds
-    or raises a QdagHashError, within the time budget."""
+    """parse() then reuse expansion, as load_plan_file does, then both
+    fingerprints: either succeeds or raises a QdagHashError, within the
+    time budget."""
     start = time.perf_counter()
     try:
-        resolve_reuse_references(parse())
+        doc = resolve_reuse_references(parse())
+        for approach in APPROACHES:
+            fingerprint_document(doc, FingerprintConfig(approach=approach))
     except QdagHashError:
         pass
     assert time.perf_counter() - start < PARSE_BUDGET_S
