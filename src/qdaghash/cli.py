@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
-from .evaluate import render_report_json, render_report_text, require_labelled, score_leave_one_out
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_document
 from .forkmap import fork_map
 from .index import Index, IndexHeader, IndexRecord, require_compatible
@@ -303,6 +302,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     """eval_leave_one_out with the plans fingerprinted on every usable CPU,
     raising the same error first: corpus load failures, a bad flag, too few
     plans, a missing runtime, a fingerprint error, a bad --k."""
+    from .evaluate import (  # only eval needs it
+        render_report_json,
+        render_report_text,
+        require_labelled,
+        score_leave_one_out,
+    )
+
     try:
         config = _config_from_args(args)
     except ValueError:

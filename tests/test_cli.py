@@ -248,6 +248,33 @@ def test_index_add_migrates_v1_file_to_v2(tmp_path, corpus_dir, capsys):
     assert len(shown["records"]) == 6
 
 
+def test_index_add_after_a_load_keeps_rows_and_replaces_in_place(tmp_path, corpus_dir, capsys):
+    index_path = tmp_path / "runs.qdx"
+    plans = sorted(corpus_dir.glob("*.json"))
+    assert run_cli("index", "add", *plans[:6], "--index", index_path) == 0
+    first = Index.load(index_path).records()
+    rerun = json.loads(plans[2].read_text())
+    rerun["runtime_seconds"] = 123.0
+    rerun_path = tmp_path / "rerun.json"
+    rerun_path.write_text(json.dumps(rerun))
+
+    assert run_cli("index", "add", *plans[6:9], rerun_path, "--index", index_path) == 0
+    second = Index.load(index_path).records()
+    added = [r.plan_id for r in second[6:]]
+    assert [r.plan_id for r in second] == [r.plan_id for r in first] + added
+    assert len(added) == 3 and rerun["plan_id"] not in added
+    assert second[2].runtime_seconds == 123.0 and second[2].plan_id == rerun["plan_id"]
+    assert second[:2] + second[3:6] == first[:2] + first[3:]
+
+    capsys.readouterr()
+    assert run_cli("index", "show", "--index", index_path, "--json") == 0
+    shown = json.loads(capsys.readouterr().out)["records"]
+    assert [r["plan_id"] for r in shown] == sorted(r.plan_id for r in second)
+
+    Index.load(index_path).save(tmp_path / "again.qdx")
+    assert (tmp_path / "again.qdx").read_bytes() == index_path.read_bytes()
+
+
 def test_eval_text_report(corpus_dir, capsys):
     assert run_cli("eval", corpus_dir) == 0
     out = capsys.readouterr().out

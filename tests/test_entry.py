@@ -63,6 +63,12 @@ def test_plain_import_loads_no_numpy_and_leaves_the_environment():
     assert run_probe(IMPORT_PROBE) == {"numpy": False, "env": None, "env_after_use": None}
 
 
+def test_cli_import_leaves_the_evaluator_unloaded():
+    # Only `eval` needs qdaghash.evaluate; the one-shot commands skip it.
+    script = "import json, sys, qdaghash.cli; print(json.dumps(sorted(sys.modules)))"
+    assert "qdaghash.evaluate" not in run_probe(script)
+
+
 @pytest.mark.parametrize("user_value,expected", [(None, "1"), ("3", "3")])
 def test_cli_entry_sets_one_openblas_thread_unless_the_user_chose(
     tmp_path, user_value, expected

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 from conftest import save_v1
+from index_reference import reference_ids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -647,6 +649,86 @@ def test_fuzzed_v2_file_fails_only_with_typed_errors(data):
             code = main(["index", "show", "--index", str(path)])
     assert code == (0 if loaded else 1)
     assert "Traceback" not in stderr.getvalue()
+
+
+# -- plan ids of a loaded v2 file ------------------------------------------------------
+
+# Ids of 1-40 UTF-8 bytes: many of one length from a two-letter alphabet,
+# and any characters, cut at 40 bytes on a character boundary.
+PLAN_ID_TEXT = st.one_of(
+    st.text("ab", min_size=1, max_size=40),
+    st.text(st.characters(codec="utf-8"), min_size=1, max_size=40),
+).map(lambda text: text.encode()[:40].decode("utf-8", "ignore"))
+
+# Lone continuation bytes, lead bytes, the surrogate lead 0xED and bytes
+# that never occur in UTF-8.
+BAD_UTF8_BYTES = (0x80, 0xBF, 0xC0, 0xC3, 0xE2, 0xED, 0xF0, 0xF8, 0xFF)
+
+
+def v2_file(blob, ends):
+    """A structured v2 index of len(ends) one-second records with these id
+    offsets and id blob."""
+    n = len(ends)
+    header = json.dumps(IndexHeader.for_config(FingerprintConfig()).to_json_obj())
+    columns = struct.pack(
+        f"<2Q{n}Q{n}Q{n}d{n}Q", n, len(blob), *range(n), *range(n), *[1.0] * n, *ends
+    )
+    return header.encode() + b"\n" + columns + bytes(n) + blob
+
+
+def loaded_ids(path):
+    """The plan ids of Index.load(path), read by row and by iteration."""
+    index = Index.load(path)
+    ids = index._columns().ids
+    by_row = [ids[row] for row in range(len(index))]
+    assert [r.plan_id for r in index.records()] == by_row
+    return by_row
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except IndexFormatError as exc:
+        return (exc.where, str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_v2_plan_ids_load_as_the_per_record_reference(data):
+    ids = data.draw(st.lists(PLAN_ID_TEXT, max_size=12, unique=True))
+    for _ in range(data.draw(st.integers(0, 2)) if ids else 0):
+        ids.insert(data.draw(st.integers(0, len(ids))), data.draw(st.sampled_from(ids)))
+    encoded = [plan_id.encode() for plan_id in ids]
+    ends = list(itertools.accumulate(map(len, encoded)))
+    blob = bytearray(b"".join(encoded))
+    for _ in range(data.draw(st.integers(0, 2)) if ends else 0):
+        # Most often this splits a character, or makes two ids equal.
+        row = data.draw(st.integers(0, len(ends) - 1))
+        ends[row] = max(0, ends[row] + data.draw(st.integers(-3, 3)))
+    for _ in range(data.draw(st.integers(0, 1)) if blob else 0):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.sampled_from(BAD_UTF8_BYTES))
+    file = v2_file(bytes(blob), ends)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "idx.qdx"
+        path.write_bytes(file)
+        assert outcome(loaded_ids, path) == outcome(reference_ids, file)
+
+
+def test_a_repeated_key_without_a_duplicate_still_loads(tmp_path, monkeypatch):
+    index = five_record_index()
+    for i in range(40):
+        index.add(record(f"plan-{i:03d}-é", i, i, 1.0))
+    path = tmp_path / "idx.qdx"
+    index.save(path)
+    calls = []
+
+    def always_repeated(*args):
+        calls.append(args)
+        return True
+
+    monkeypatch.setattr(index_module, "_repeated_key", always_repeated)
+    assert loaded_ids(path) == [r.plan_id for r in index.records()]
+    assert len(calls) == 1
 
 
 # -- concurrency smoke ------------------------------------------------------------------
