@@ -15,13 +15,13 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_document
 from .forkmap import fork_map
 from .index import Index, IndexHeader, IndexRecord, require_compatible
-from .ingest import PlanDocument, collect_corpus, corpus_files, load_corpus, load_plan_file
+from .ingest import PlanDocument, corpus_files, load_corpus, load_plan_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,18 +138,6 @@ def _fingerprint_file(
     return FingerprintedPlan(doc.plan_id, fingerprint_document(doc, config), doc.runtime_seconds)
 
 
-def _fingerprint_files(
-    paths: list[str], fingerprint_file: Callable[[str], FingerprintedPlan]
-) -> Iterator[FingerprintedPlan]:
-    """fingerprint_file over paths in order, spread over the usable CPUs.
-
-    A path that failed in a worker is redone here at its turn, so the first
-    bad path raises its own error, after every plan before it.
-    """
-    for path, plan in zip(paths, fork_map(fingerprint_file, paths)):
-        yield plan if plan is not None else fingerprint_file(path)
-
-
 @contextlib.contextmanager
 def _index_lock(index_path: Path) -> Iterator[None]:
     """Hold an exclusive advisory lock on the sidecar file <index>.lock.
@@ -177,7 +165,8 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stamp = IndexHeader.for_config(config)
     fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=False)
-    for plan_id, fp, _ in _fingerprint_files(args.plans, fingerprint_file):
+    plans = fork_map(fingerprint_file, args.plans) or map(fingerprint_file, args.plans)
+    for plan_id, fp, _ in plans:
         if args.json:
             print(json.dumps({
                 "plan_id": plan_id,
@@ -208,7 +197,7 @@ def cmd_index_add(args: argparse.Namespace) -> int:
             config = _config_from_args(args)
             index = Index.new(config)
         fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=True)
-        for plan in _fingerprint_files(args.plans, fingerprint_file):
+        for plan in fork_map(fingerprint_file, args.plans) or map(fingerprint_file, args.plans):
             index.add(IndexRecord.from_runtime(*plan))
         index.save(path)
     print(
@@ -299,13 +288,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """eval_leave_one_out with the plans fingerprinted on every usable CPU,
-    raising the same error first: corpus load failures, a bad flag, too few
-    plans, a missing runtime, a fingerprint error, a bad --k."""
+    """eval_leave_one_out over the corpus, with its plans fingerprinted on
+    every usable CPU.
+
+    The forked plans are scored only when every file loaded and fingerprinted
+    with a runtime, there are at least two and their plan ids are distinct.
+    Otherwise the library evaluates the corpus again in this process, so it
+    decides the error. A bad corpus is reported before a bad flag.
+    """
     from .evaluate import (  # only eval needs it
+        eval_leave_one_out,
         render_report_json,
         render_report_text,
-        require_labelled,
         score_leave_one_out,
     )
 
@@ -314,24 +308,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError:
         load_corpus(args.corpus)
         raise
-    files = corpus_files(args.corpus)
     fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=True)
-    done = dict(zip(files, fork_map(fingerprint_file, files)))
-    # A file whose slot came back None is loaded again here: a load error is
-    # listed under the corpus rules, anything else waits for its turn below.
-    plans = collect_corpus(files, lambda f: done[f] or load_plan_file(f))
-    require_labelled(plans)
-    records = [
-        IndexRecord.from_runtime(
-            plan.plan_id,
-            plan.fingerprint
-            if isinstance(plan, FingerprintedPlan)
-            else fingerprint_document(plan, config),
-            plan.runtime_seconds,
-        )
-        for plan in plans
-    ]
-    report = score_leave_one_out(records, k=args.k)
+    plans = fork_map(fingerprint_file, corpus_files(args.corpus))
+    if plans is None or len(plans) < 2 or len({plan.plan_id for plan in plans}) < len(plans):
+        report = eval_leave_one_out(load_corpus(args.corpus), config, args.k)
+    else:
+        report = score_leave_one_out([IndexRecord.from_runtime(*plan) for plan in plans], args.k)
     print(render_report_json(report) if args.json else render_report_text(report))
     return 0
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CorpusTooSmall, MissingRuntime
-from .fingerprint import FingerprintConfig, FingerprintedPlan, fingerprint_document
+from .fingerprint import FingerprintConfig, fingerprint_document
 from .index import ComplexityLabel, IndexRecord, _Columns, _two_step
-from .ingest import Corpus, PlanDocument
+from .ingest import Corpus
 
 GRANULARITY_NOTE = "per plan document (stage- vs query-level input is the caller's choice)"
 
@@ -61,7 +61,6 @@ class EvalReport:
     err_heavy_as_simple: float
     confusion: tuple[tuple[int, int, int], ...]  # rows actual, cols predicted
     buckets: tuple[DistanceBucket, ...]
-    granularity: str = GRANULARITY_NOTE
 
     def to_json_obj(self) -> dict[str, object]:
         return {
@@ -76,7 +75,7 @@ class EvalReport:
                 {"label": b.label, "count": b.count, "correct": b.correct, "accuracy": b.accuracy}
                 for b in self.buckets
             ],
-            "granularity": self.granularity,
+            "granularity": GRANULARITY_NOTE,
         }
 
     @classmethod
@@ -93,18 +92,7 @@ class EvalReport:
                 DistanceBucket(b["label"], b["count"], b["correct"])  # type: ignore[index]
                 for b in obj["buckets"]  # type: ignore[union-attr]
             ),
-            granularity=str(obj.get("granularity", GRANULARITY_NOTE)),
         )
-
-
-def require_labelled(plans: Sequence[PlanDocument | FingerprintedPlan]) -> None:
-    """Raise CorpusTooSmall below two plans, else MissingRuntime for the
-    first plan without a runtime label."""
-    if len(plans) < 2:
-        raise CorpusTooSmall(len(plans), 2)
-    for plan in plans:
-        if plan.runtime_seconds is None:
-            raise MissingRuntime(plan.plan_id)
 
 
 def eval_leave_one_out(
@@ -112,8 +100,16 @@ def eval_leave_one_out(
     config: FingerprintConfig | None = None,
     k: int = 10,
 ) -> EvalReport:
-    """Score 1-NN complexity prediction by leaving each document out."""
-    require_labelled(corpus.documents)
+    """Score 1-NN complexity prediction by leaving each document out.
+
+    Raises CorpusTooSmall below two documents, then MissingRuntime for the
+    first document without a runtime label, before fingerprinting any.
+    """
+    if len(corpus) < 2:
+        raise CorpusTooSmall(len(corpus), 2)
+    for doc in corpus.documents:
+        if doc.runtime_seconds is None:
+            raise MissingRuntime(doc.plan_id)
     config = config or FingerprintConfig()
     records = [
         IndexRecord.from_runtime(
@@ -178,7 +174,7 @@ def render_report_text(report: EvalReport) -> str:
     labels = [label.display for label in ComplexityLabel]
     lines = [
         f"approach:     {report.approach}",
-        f"corpus size:  {report.corpus_size}   (granularity: {report.granularity})",
+        f"corpus size:  {report.corpus_size}   (granularity: {GRANULARITY_NOTE})",
         f"k:            {report.k}",
         f"accuracy:                                        {report.accuracy:.4f}",
         f"error (actual Simple, predicted Medium/Complex): {report.err_simple_as_heavier:.4f}",

@@ -10,10 +10,12 @@ Shares are strided, worker w taking items w, w + W, w + 2W, ...: a corpus
 sorted by file name keeps one plan family together, and families differ in
 cost by more than 2x, so contiguous halves would leave one process waiting.
 
-No exception crosses a pipe. A slot whose fn raised, or whose worker died
-or could not be forked, comes back as None, and the caller recomputes it
-in-process, where it raises the original exception at the point where a
-serial loop would.
+The map is all or nothing. If fn raises on any item, a worker dies or a
+worker cannot be forked, fork_map returns None, and the caller runs its
+one-process path, which then decides the output and raises the original
+error where a serial loop would. A failure in the parent's own share kills
+the workers still running. No exception crosses a pipe: a worker whose fn
+raised just exits non-zero.
 
 Only the CLI calls this: a library must not fork a caller's process, which
 may hold threads or locks that a forked child cannot use.
@@ -25,7 +27,7 @@ import contextlib
 import os
 import pickle
 import signal
-from typing import BinaryIO, Callable, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -48,44 +50,36 @@ def worker_count(n_items: int) -> int:
     return max(1, min(usable_cpus(), n_items // PLANS_PER_WORKER))
 
 
-def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R | None]:
-    """fn over items in input order; None where fn raised or its worker died.
+def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R] | None:
+    """fn over items in input order, or None if anything failed.
 
-    fn must not return None. With a single worker everything runs here.
+    With a single worker everything runs here.
     """
     workers = worker_count(len(items))
-    results: list[R | None] = [None] * len(items)
-    unreaped: list[tuple[int, int, BinaryIO]] = []  # (share, pid, read end of its pipe)
+    results: list[Any] = [None] * len(items)
+    unreaped: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), in share order
     try:
         for w in range(1, workers):
-            with contextlib.suppress(OSError):  # a share left without a worker stays None
-                unreaped.append((w, *_fork(fn, items[w::workers])))
-        results[::workers] = _attempt_all(fn, items[::workers])
-        while unreaped:
-            w, pid, pipe = unreaped[0]
+            unreaped.append(_fork(fn, items[w::workers]))
+        results[::workers] = [fn(item) for item in items[::workers]]
+        for w in range(1, workers):
+            pid, pipe = unreaped[0]
             with pipe:
                 payload = pipe.read()
             _, status = os.waitpid(pid, 0)
             del unreaped[0]
-            if status == 0 and payload:  # a worker exits 0 only after writing all of its results
-                results[w::workers] = pickle.loads(payload)
+            if status != 0:  # a worker exits 0 only after writing all of its results
+                return None
+            results[w::workers] = pickle.loads(payload)
         return results
+    except Exception:  # the caller's one-process rerun raises it again, in order
+        return None
     finally:
-        for _, pid, pipe in unreaped:
+        for pid, pipe in unreaped:
             pipe.close()
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-
-
-def _attempt_all(fn: Callable[[T], R], items: Sequence[T]) -> list[R | None]:
-    results: list[R | None] = []
-    for item in items:
-        try:
-            results.append(fn(item))
-        except Exception:
-            results.append(None)
-    return results
 
 
 def _fork(fn: Callable[[T], R], share: Sequence[T]) -> tuple[int, BinaryIO]:
@@ -103,7 +97,7 @@ def _fork(fn: Callable[[T], R], share: Sequence[T]) -> tuple[int, BinaryIO]:
         code = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(_attempt_all(fn, share), pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps([fn(item) for item in share], pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             code = 0

@@ -15,7 +15,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
 
 from .errors import (
     CorpusLoadError,
@@ -503,14 +502,15 @@ def load_plan_file(path: str | Path) -> PlanDocument:
 
 
 def corpus_files(path: str | Path) -> list[Path]:
-    """The .json and .plan files under a directory, sorted by name, or [path]."""
+    """The regular .json and .plan files under a directory, sorted by name,
+    or [path]."""
     p = Path(path)
     if not p.exists():
         raise CorpusLoadError(f"no such path: {p}")
     if not p.is_dir():
         return [p]
     files = sorted(
-        (f for f in p.iterdir() if f.suffix in (".json", ".plan")),
+        (f for f in p.iterdir() if f.suffix in (".json", ".plan") and f.is_file()),
         key=lambda f: f.name,
     )
     if not files:
@@ -518,35 +518,26 @@ def corpus_files(path: str | Path) -> list[Path]:
     return files
 
 
-P = TypeVar("P")
+def load_corpus(path: str | Path) -> Corpus:
+    """Load every plan under a directory (or a single file), sorted by name.
 
-
-def collect_corpus(files: Iterable[Path], load: Callable[[Path], P]) -> list[P]:
-    """load(f) for each file in order, under the corpus rules.
-
-    Each result must have a plan_id. One seen before raises DuplicatePlanId
-    as soon as it is reached; files whose load raised an InputError are all
-    listed in one CorpusLoadError at the end.
+    A plan_id seen before raises DuplicatePlanId as soon as it is reached;
+    files that raised an InputError are all listed in one CorpusLoadError
+    at the end.
     """
-    loaded: list[P] = []
+    documents: list[PlanDocument] = []
     failures: list[tuple[str, Exception]] = []
     seen: dict[str, str] = {}
-    for f in files:
+    for f in corpus_files(path):
         try:
-            item = load(f)
+            doc = load_plan_file(f)
         except InputError as exc:
             failures.append((f.name, exc))
             continue
-        plan_id = item.plan_id  # type: ignore[attr-defined]
-        if plan_id in seen:
-            raise DuplicatePlanId(plan_id, [seen[plan_id], f.name])
-        seen[plan_id] = f.name
-        loaded.append(item)
+        if doc.plan_id in seen:
+            raise DuplicatePlanId(doc.plan_id, [seen[doc.plan_id], f.name])
+        seen[doc.plan_id] = f.name
+        documents.append(doc)
     if failures:
         raise CorpusLoadError(failures)
-    return loaded
-
-
-def load_corpus(path: str | Path) -> Corpus:
-    """Load every plan under a directory (or a single file), sorted by name."""
-    return Corpus(tuple(collect_corpus(corpus_files(path), load_plan_file)), str(Path(path)))
+    return Corpus(tuple(documents), str(Path(path)))

@@ -192,6 +192,16 @@ def test_eval_bad_k_exits_2(corpus_dir, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_eval_skips_a_directory_named_like_a_plan_file(corpus_dir, tmp_path, capsys):
+    (corpus_dir / "sub.json").mkdir()
+    assert run_cli("eval", corpus_dir, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["corpus_size"] == 15
+    no_plans = tmp_path / "no-plans"
+    (no_plans / "sub.json").mkdir(parents=True)
+    assert run_cli("eval", no_plans) == 2
+    assert "no .json or .plan files" in capsys.readouterr().err
+
+
 def test_plan_id_that_is_not_unicode_exits_2_and_keeps_the_index(tmp_path, plan_file, capsys):
     index_path = tmp_path / "runs.qdx"
     assert run_cli("index", "add", plan_file, "--index", index_path) == 0

@@ -10,6 +10,7 @@ import json
 import os
 import shutil
 import signal
+import time
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_an_item_that_raises_comes_back_none(monkeypatch):
             raise ValueError(x)
         return x
 
-    assert forkmap.fork_map(fn, list(range(8))) == [0, 1, 2, 3, None, None, 6, 7]
+    assert forkmap.fork_map(fn, list(range(8))) is None
 
 
 def test_a_killed_worker_leaves_its_share_none(monkeypatch):
@@ -85,7 +86,7 @@ def test_a_killed_worker_leaves_its_share_none(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return x
 
-    assert forkmap.fork_map(fn, list(range(6))) == [0, None, 2, None, 4, None]
+    assert forkmap.fork_map(fn, list(range(6))) is None
 
 
 def test_a_worker_that_cannot_fork_leaves_its_share_none(monkeypatch):
@@ -95,7 +96,22 @@ def test_a_worker_that_cannot_fork_leaves_its_share_none(monkeypatch):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert forkmap.fork_map(lambda x: x, list(range(6))) == [0, None, None, 3, None, None]
+    assert forkmap.fork_map(lambda x: x, list(range(6))) is None
+
+
+def test_a_failure_in_the_parent_kills_a_busy_worker(monkeypatch):
+    use_workers(monkeypatch, 2, plans_per_worker=1)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise ValueError(x)
+
+    started = time.monotonic()
+    assert forkmap.fork_map(fn, list(range(4))) is None
+    assert time.monotonic() - started < 5
+    # The autouse _no_child_left_behind fixture checks that the worker was reaped.
 
 
 # -- the batch commands ------------------------------------------------------
@@ -259,24 +275,46 @@ def test_defect_mid_batch_fails_as_in_one_process(
     assert expected in eval_err and eval_err == library_eval_error(batch150)
 
 
+def test_eval_of_plans_that_all_load_but_cannot_be_scored_fails_as_the_library(
+    batch150, tmp_path, monkeypatch, capsys
+):
+    plans = sorted(batch150.glob("*.json"))
+    shutil.copy(plans[10], batch150 / "zz-copy.json")  # a repeated plan_id
+    single = tmp_path / "single"
+    single.mkdir()
+    shutil.copy(plans[0], single)
+    for corpus, expected in (
+        (batch150, "appears in more than one file"),
+        (single, "at least 2 required"),
+    ):
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            assert run(capsys, "eval", corpus) == (2, "", library_eval_error(corpus))
+        assert expected in library_eval_error(corpus)
+
+
 def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch, capsys):
     use_workers(monkeypatch, 1)
     serial = batch_outcomes(capsys, batch150, tmp_path / "runs.qdx")
     parent = os.getpid()
     fingerprint_document = cli.fingerprint_document
-    killed = []
+    fingerprinted = []
 
     def dying(doc, config):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        killed.append(doc.plan_id)  # reached only in the parent
+        fingerprinted.append(doc.plan_id)  # reached only in the parent
         return fingerprint_document(doc, config)
 
-    monkeypatch.setattr(cli, "fingerprint_document", dying)
+    for module in (cli, evaluate):
+        monkeypatch.setattr(module, "fingerprint_document", dying)
     use_workers(monkeypatch, 2)
     assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
     assert serial[0][0] == 0
-    assert len(killed) == 3 * 150  # eval, fingerprint, index add: each did all 150 here
+    # eval, fingerprint, index add: each parent did its own share, then all
+    # 150 plans in order in its one-process rerun.
+    plan_ids = [plan.stem for plan in sorted(batch150.glob("*.json"))]
+    assert fingerprinted == (plan_ids[::2] + plan_ids) * 3
 
 
 def test_single_plan_commands_never_fork(corpus42, tmp_path, monkeypatch, capsys):
