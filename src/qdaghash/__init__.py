@@ -37,6 +37,7 @@ _EXPORTS = {
         "Fingerprint128",
         "FingerprintConfig",
         "fingerprint_document",
+        "fingerprint_documents",
         "fingerprint_graph",
     ),
     "index": (

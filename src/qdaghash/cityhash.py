@@ -253,7 +253,8 @@ def cityhash64_spans(buf: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.
     lengths = np.asarray(lengths, np.int64)
     # Eight zero bytes of padding, so a window can start at any offset up to len(buf).
     padded = np.concatenate([np.frombuffer(buf, np.uint8), np.zeros(8, np.uint8)])
-    words = np.lib.stride_tricks.sliding_window_view(padded, 8).copy().view("<u8").ravel()
+    # words[p] reads the 8 bytes from offset p (an unaligned strided view, copied).
+    words = np.ndarray((len(buf) + 1,), "<u8", padded, 0, (1,)).copy()
     classes = np.searchsorted([bound for bound, _ in _SPAN_KERNELS], lengths)
     out = np.empty(len(starts), np.uint64)
     for c, (_, kernel) in enumerate(_SPAN_KERNELS):

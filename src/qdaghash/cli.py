@@ -15,10 +15,11 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_document
+from .fingerprint import fingerprint_documents
 from .forkmap import fork_map
 from .index import Index, IndexHeader, IndexRecord, require_compatible
 from .ingest import PlanDocument, corpus_files, load_corpus, load_plan_file
@@ -121,21 +122,25 @@ def _config_from_args(
     return config
 
 
-def _load_plan(path: str) -> PlanDocument:
+def _load_plan(path: str | Path, require_runtime: bool = False) -> PlanDocument:
     """load_plan_file, with the offending filename in any error message."""
     try:
-        return load_plan_file(path)
+        doc = load_plan_file(path)
     except InputError as exc:
         raise CorpusLoadError(f"{path}: {exc}") from exc
-
-
-def _fingerprint_file(
-    path: str | Path, config: FingerprintConfig, require_runtime: bool
-) -> FingerprintedPlan:
-    doc = _load_plan(path)
     if require_runtime and doc.runtime_seconds is None:
         raise MissingRuntime(doc.plan_id)
-    return FingerprintedPlan(doc.plan_id, fingerprint_document(doc, config), doc.runtime_seconds)
+    return doc
+
+
+def _fingerprint_files(
+    paths: Sequence[str | Path], config: FingerprintConfig, require_runtime: bool
+) -> list[FingerprintedPlan]:
+    """The plans at paths, fingerprinted in blocks: a batch command's fork_map
+    share. The one-process paths call it one plan at a time, so that they
+    stop at the first bad plan with the plans before it done."""
+    docs = (_load_plan(path, require_runtime) for path in paths)
+    return list(fingerprint_documents(docs, config))
 
 
 @contextlib.contextmanager
@@ -164,8 +169,10 @@ def _index_lock(index_path: Path) -> Iterator[None]:
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stamp = IndexHeader.for_config(config)
-    fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=False)
-    plans = fork_map(fingerprint_file, args.plans) or map(fingerprint_file, args.plans)
+    fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=False)
+    plans = fork_map(fingerprint_files, args.plans) or (
+        plan for path in args.plans for plan in fingerprint_files([path])
+    )
     for plan_id, fp, _ in plans:
         if args.json:
             print(json.dumps({
@@ -196,8 +203,11 @@ def cmd_index_add(args: argparse.Namespace) -> int:
         else:
             config = _config_from_args(args)
             index = Index.new(config)
-        fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=True)
-        for plan in fork_map(fingerprint_file, args.plans) or map(fingerprint_file, args.plans):
+        fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=True)
+        plans = fork_map(fingerprint_files, args.plans) or (
+            plan for path in args.plans for plan in fingerprint_files([path])
+        )
+        for plan in plans:
             index.add(IndexRecord.from_runtime(*plan))
         index.save(path)
     print(
@@ -308,8 +318,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError:
         load_corpus(args.corpus)
         raise
-    fingerprint_file = partial(_fingerprint_file, config=config, require_runtime=True)
-    plans = fork_map(fingerprint_file, corpus_files(args.corpus))
+    fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=True)
+    plans = fork_map(fingerprint_files, corpus_files(args.corpus))
     if plans is None or len(plans) < 2 or len({plan.plan_id for plan in plans}) < len(plans):
         report = eval_leave_one_out(load_corpus(args.corpus), config, args.k)
     else:

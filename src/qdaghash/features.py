@@ -5,16 +5,22 @@ schema, the vector's canonical string is hashed to 64 bits, and the
 per-node hashes are combined with depth-weighted SimHash. Table and column
 names are never consulted, so plans that differ only in identifier names
 fingerprint identically.
+
+node_signatures_structured signs a block of plans with one hashing pass
+over the canonical strings of all their nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .operators import operator_code
 from .qdag import PlanNode, QDag, StructuralProfile
-from .simhash import simhash, string_hash64
+from .simhash import simhash_runs, string_hash64, string_hashes64
 
 FEATURE_SCHEMA_VERSION = "fs1"
 
@@ -62,7 +68,7 @@ class NodeFeatureVector:
             )
 
     def canonical_string(self) -> str:
-        return "|".join(str(v) for v in self.values)
+        return "|".join(map(str, self.values))
 
 
 def bucket_row_width(width: int) -> int:
@@ -102,7 +108,14 @@ def node_hash_structured(fv: NodeFeatureVector) -> int:
 
 def node_signature_structured(graph: QDag, profile: StructuralProfile) -> int:
     """N(G): SimHash over all per-node feature hashes, each weighted by its depth."""
-    return simhash(
-        [node_hash_structured(extract_features(node)) for node in graph.nodes],
-        [profile.depth[node.id] for node in graph.nodes],
-    )
+    return node_signatures_structured([graph], [profile])[0]
+
+
+def node_signatures_structured(
+    graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]
+) -> list[int]:
+    """node_signature_structured of each graph and its profile."""
+    nodes = [(node, profile) for graph, profile in zip(graphs, profiles) for node in graph.nodes]
+    hashes = string_hashes64([extract_features(node).canonical_string() for node, _ in nodes])
+    depths = np.fromiter((profile.depth[node.id] for node, profile in nodes), np.int64, len(nodes))
+    return simhash_runs(hashes, [len(graph.nodes) for graph in graphs], depths)

@@ -3,17 +3,22 @@
 The edge signature is approach-independent; the node signature comes from
 either the structured (feature-engineered, depth-weighted) or the n-gram
 (fact-shingling, uniform-weight) algorithm.
+
+fingerprint_documents takes plans in blocks of about BLOCK_CHARS fact
+characters, hashes the nodes of a whole block in one pass and tallies every
+plan's SimHash from one bit matrix; only a block's plans are held at once.
+fingerprint_document is the block of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .edges import edge_signature
-from .features import node_signature_structured
+from .features import node_signatures_structured
 from .ingest import PlanDocument
-from .ngrams import NGramConfig, node_signature_ngram
+from .ngrams import NGramConfig, node_signatures_ngram
 from .qdag import QDag, structural_profile
 from .simhash import MASK64
 
@@ -66,19 +71,56 @@ class FingerprintConfig:
             raise ValueError(f"unknown approach {self.approach!r}")
 
 
+# Fact characters per block of plans: about five plans of the synthetic
+# corpora, enough to spread the fixed cost of a hashing pass; twice that
+# raised eval's peak RSS by 0.4 MB for little time (2-core Xeon VM).
+BLOCK_CHARS = 4096
+
+
+def _fingerprint_block(graphs: Sequence[QDag], config: FingerprintConfig) -> list[Fingerprint128]:
+    profiles = [structural_profile(graph) for graph in graphs]
+    edge_sigs = [edge_signature(graph, profile) for graph, profile in zip(graphs, profiles)]
+    if config.approach == APPROACH_STRUCTURED:
+        node_sigs = node_signatures_structured(graphs, profiles)
+    else:
+        node_sigs = node_signatures_ngram(graphs, config.ngram)
+    return [Fingerprint128(e, n, config.approach) for e, n in zip(edge_sigs, node_sigs)]
+
+
 def fingerprint_graph(graph: QDag, config: FingerprintConfig | None = None) -> Fingerprint128:
     """Compute both signatures of a validated graph."""
-    config = config or FingerprintConfig()
-    profile = structural_profile(graph)
-    edge_sig = edge_signature(graph, profile)
-    if config.approach == APPROACH_STRUCTURED:
-        node_sig = node_signature_structured(graph, profile)
-    else:
-        node_sig = node_signature_ngram(graph, config.ngram)
-    return Fingerprint128(edge_sig, node_sig, config.approach)
+    return _fingerprint_block([graph], config or FingerprintConfig())[0]
 
 
 def fingerprint_document(
     doc: PlanDocument, config: FingerprintConfig | None = None
 ) -> Fingerprint128:
     return fingerprint_graph(doc.graph, config)
+
+
+def fingerprint_documents(
+    docs: Iterable[PlanDocument], config: FingerprintConfig | None = None
+) -> Iterator[FingerprintedPlan]:
+    """Each doc's FingerprintedPlan, in order, fingerprinted a block at a time.
+
+    docs is read up to a block ahead, so an error in a plan (or in reading
+    docs) may come before the plans of its block.
+    """
+    config = config or FingerprintConfig()
+    remaining = iter(docs)
+    while block := _next_block(remaining):
+        fingerprints = _fingerprint_block([doc.graph for doc in block], config)
+        for doc, fp in zip(block, fingerprints):
+            yield FingerprintedPlan(doc.plan_id, fp, doc.runtime_seconds)
+
+
+def _next_block(docs: Iterator[PlanDocument]) -> list[PlanDocument]:
+    """The next docs, up to the one whose facts bring the block to BLOCK_CHARS."""
+    block: list[PlanDocument] = []
+    chars = 0
+    for doc in docs:
+        block.append(doc)
+        chars += sum(len(node.fact) for node in doc.graph.nodes)
+        if chars >= BLOCK_CHARS:
+            break
+    return block

@@ -1,16 +1,19 @@
 """An ordered map over forked worker processes, for the CLI's batch commands.
 
-fork_map(fn, items) is [fn(item) for item in items], spread over up to one
-process per usable CPU once the batch is large enough to repay a fork
-(PLANS_PER_WORKER items per worker). The parent forks the workers, works
-through its own share, then reads each worker's results back from one pipe
-and reaps it, so the results come back in input order whatever the count.
+fork_map(fn, items) is fn(items), spread over up to one process per usable
+CPU once the batch is large enough to repay a fork (PLANS_PER_WORKER items
+per worker). fn maps a sequence of items to the list of their results, in
+order, and an item's result must not depend on the items it comes with; so
+each process can work through its whole share at once, in blocks. The
+parent forks the workers, computes fn of its own share, then reads each
+worker's results back from one pipe and reaps it, so the results come back
+in input order whatever the count.
 
 Shares are strided, worker w taking items w, w + W, w + 2W, ...: a corpus
 sorted by file name keeps one plan family together, and families differ in
 cost by more than 2x, so contiguous halves would leave one process waiting.
 
-The map is all or nothing. If fn raises on any item, a worker dies or a
+The map is all or nothing. If fn raises on any share, a worker dies or a
 worker cannot be forked, fork_map returns None, and the caller runs its
 one-process path, which then decides the output and raises the original
 error where a serial loop would. A failure in the parent's own share kills
@@ -50,8 +53,8 @@ def worker_count(n_items: int) -> int:
     return max(1, min(usable_cpus(), n_items // PLANS_PER_WORKER))
 
 
-def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R] | None:
-    """fn over items in input order, or None if anything failed.
+def fork_map(fn: Callable[[Sequence[T]], list[R]], items: Sequence[T]) -> list[R] | None:
+    """fn(items) in input order, or None if anything failed.
 
     With a single worker everything runs here.
     """
@@ -61,7 +64,7 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R] | None:
     try:
         for w in range(1, workers):
             unreaped.append(_fork(fn, items[w::workers]))
-        results[::workers] = [fn(item) for item in items[::workers]]
+        results[::workers] = fn(items[::workers])
         for w in range(1, workers):
             pid, pipe = unreaped[0]
             with pipe:
@@ -82,7 +85,7 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R] | None:
                 os.waitpid(pid, 0)
 
 
-def _fork(fn: Callable[[T], R], share: Sequence[T]) -> tuple[int, BinaryIO]:
+def _fork(fn: Callable[[Sequence[T]], list[R]], share: Sequence[T]) -> tuple[int, BinaryIO]:
     """Start a worker on share; returns its pid and the read end of its pipe."""
     read_fd, write_fd = os.pipe()
     try:
@@ -97,7 +100,7 @@ def _fork(fn: Callable[[T], R], share: Sequence[T]) -> tuple[int, BinaryIO]:
         code = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps([fn(item) for item in share], pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(fn(share), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             code = 0

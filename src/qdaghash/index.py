@@ -9,10 +9,12 @@ to the probe by edge-signature Hamming distance, then rank those k by
 node-signature distance. The top-k cut orders records by (edge distance,
 node distance, plan_id) and the ranking by (node distance, edge distance,
 plan_id); both are total orders, so results are fully deterministic.
-_two_step is the one implementation of both orders, shared by Index.match
-and the leave-one-out eval. It popcounts the whole edge column in numpy,
-keeps every record within the k-th smallest edge distance (ties
-included), and sorts only that small set in Python.
+_two_step is the one implementation of both orders, for a block of probes
+at once: Index.match is the block of one, and the leave-one-out eval scores
+its folds in blocks. It popcounts the whole edge column for every probe,
+keeps every record within a probe's k-th smallest edge distance (ties
+included), reads the plan ids of only those candidates, and finds both
+orders with numpy partitions over one int64 key per probe and candidate.
 
 The header stamps the configuration every stored fingerprint was computed
 under. IndexHeader.for_config and IndexHeader.to_config map a
@@ -284,6 +286,8 @@ _U8 = np.dtype("u1")
 _ROW_DTYPES = (_U64, _U64, _F64, _U8)
 # Larger than any Hamming distance between 64-bit words.
 _EXCLUDED = 255
+# Larger than any _two_step key.
+_NOT_CANDIDATE = (1 << 63) - 1  # the largest int64
 
 
 class _IdColumn(Sequence[str]):
@@ -349,33 +353,53 @@ def _row_arrays(rows: Sequence[tuple[int, int, float, int]]) -> list[np.ndarray]
 
 
 def _two_step(
-    columns: _Columns, probe_edge: int, probe_node: int, k: int, skip: int | None = None
-) -> list[tuple[int, int, str, int]]:
-    """The two-step match of a probe against columns.
+    columns: _Columns,
+    probe_edge: Sequence[int] | np.ndarray,
+    probe_node: Sequence[int] | np.ndarray,
+    k: int,
+    top: int,
+    skip: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-step match of a block of probes against columns.
 
-    Returns (edge distance, node distance, plan_id, row) of the k rows first
-    by (edge, node, plan_id), ranked by (node, edge, plan_id); k is capped
-    at the row count. Row skip, if given, is left out. Requires k >= 1 and
-    at least one row besides skip.
+    Probe i's k rows first by (edge distance, node distance, plan_id), ranked
+    by (node distance, edge distance, plan_id), are row i of the returned
+    edge distance, node distance and row arrays, cut to the first top
+    columns; an exact tie goes to the earlier row. k and top are capped at
+    the row count, top also at k. Row skip[i], if given, is left out for
+    probe i. Requires k, top >= 1 and at least one row besides skip.
     """
-    edge_d = np.bitwise_count(columns.edge ^ np.uint64(probe_edge))
-    rows_in = len(edge_d)
+    edge_d = np.bitwise_count(columns.edge ^ np.asarray(probe_edge, np.uint64)[:, None])
+    rows_in = edge_d.shape[1]
     if skip is not None:
-        edge_d[skip] = _EXCLUDED
+        edge_d[np.arange(len(skip)), skip] = _EXCLUDED
         rows_in -= 1
     k = min(k, rows_in)
-    # Every row within the k-th smallest edge distance is a candidate, so
-    # the exact order below decides ties at the cut.
-    cut = np.partition(edge_d, k - 1)[k - 1]
-    rows = np.flatnonzero(edge_d <= cut)
-    node_d = np.bitwise_count(columns.node[rows] ^ np.uint64(probe_node))
-    ids = columns.ids
-    row_list = rows.tolist()
-    scored = sorted(
-        zip(edge_d[rows].tolist(), node_d.tolist(), [ids[r] for r in row_list], row_list)
-    )[:k]
-    scored.sort(key=lambda s: (s[1], s[0], s[2]))
-    return scored
+    top = min(top, k)
+    # Every row within a probe's k-th smallest edge distance is its
+    # candidate, so the exact order below decides ties at the cut. Only
+    # the candidates' ids are read, in (plan_id, row) order.
+    cut = np.partition(edge_d, k - 1, axis=1)[:, k - 1 : k]
+    rows = np.flatnonzero((edge_d <= cut).any(axis=0))
+    ids = [columns.ids[row] for row in rows.tolist()]
+    rows = rows[sorted(range(len(rows)), key=ids.__getitem__)]
+    edge_d = edge_d[:, rows]
+    node_d = np.bitwise_count(columns.node[rows] ^ np.asarray(probe_node, np.uint64)[:, None])
+    # Each order as one int64 key: two distances, then the place in id order.
+    # Rows past the cut have larger first keys than the k within it.
+    first = _keys(edge_d, node_d)
+    outside = first > np.partition(first, k - 1, axis=1)[:, k - 1 : k]
+    del first
+    ranked = _keys(node_d, edge_d)
+    ranked[outside] = _NOT_CANDIDATE
+    ranked.partition(top - 1, axis=1)
+    distances, place = np.divmod(np.sort(ranked[:, :top], axis=1), len(rows))
+    return distances & 0x7F, distances >> 7, rows[place]
+
+
+def _keys(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """(major * 128 + minor) * m + j at column j of m, as int64."""
+    return (major.astype(np.int64) << 7 | minor) * major.shape[1] + np.arange(major.shape[1])
 
 
 class Index:
@@ -459,16 +483,16 @@ class Index:
         columns = self._columns()
         if not len(columns.edge):
             raise EmptyIndex()
-        ranked = _two_step(columns, probe.edge_sig, probe.node_sig, k)[:top_n]
+        edge_d, node_d, rows = _two_step(columns, [probe.edge_sig], [probe.node_sig], k, top_n or k)
         return [
             MatchResult(
-                plan_id,
-                edge_d,
-                node_d,
+                columns.ids[row],
+                edge,
+                node,
                 ComplexityLabel(int(columns.label[row])),
                 float(columns.runtime[row]),
             )
-            for edge_d, node_d, plan_id, row in ranked
+            for edge, node, row in zip(edge_d[0].tolist(), node_d[0].tolist(), rows[0].tolist())
         ]
 
     def predict(

@@ -9,7 +9,8 @@ A plan's grams are hashed in one numpy pass, with no loop over grams: the
 normalized facts are joined and UTF-8-encoded once, every gram becomes a
 (start, length) byte span of that buffer, and cityhash64_spans hashes all
 spans at once. Each span is the UTF-8 encoding of its gram, so the hashes
-are those of string_hash64 on each gram.
+are those of string_hash64 on each gram. node_signatures_ngram makes one
+such pass for a block of plans.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .cityhash import cityhash64_spans
 from .errors import EmptyFact
 from .qdag import PlanNode, QDag
-from .simhash import simhash
+from .simhash import simhash_runs
 
 # Per-instance expression ids ("x#12") would destroy cross-query similarity.
 _ID_TOKEN = re.compile(r"#\d+")
@@ -87,8 +88,9 @@ def ngrams(fact: str, cfg: NGramConfig | None = None) -> list[str]:
     return [text[i:i + cfg.n] for i in range(len(text) - cfg.n + 1)]
 
 
-def _gram_hashes(facts: Sequence[str], cfg: NGramConfig) -> np.ndarray:
-    """string_hash64 of every gram of every fact, fact by fact in gram order.
+def _gram_hashes(facts: Sequence[str], cfg: NGramConfig) -> tuple[np.ndarray, np.ndarray]:
+    """string_hash64 of every gram of every fact, fact by fact in gram order,
+    and the number of hashes of each fact.
 
     With dedupe, a repeat of a hash earlier in the same fact is dropped.
     """
@@ -119,15 +121,23 @@ def _gram_hashes(facts: Sequence[str], cfg: NGramConfig) -> np.ndarray:
         h, f = hashes[order], fact_of[order]
         first = np.ones(total, bool)
         first[1:] = (h[1:] != h[:-1]) | (f[1:] != f[:-1])
-        hashes = hashes[np.sort(order[first])]
-    return hashes
+        kept = np.sort(order[first])
+        return hashes[kept], np.bincount(fact_of[kept], minlength=len(texts))
+    return hashes, grams
 
 
 def node_hashes_ngram(node: PlanNode, cfg: NGramConfig | None = None) -> list[int]:
     """64-bit hash per gram of the node's fact (multiset unless dedupe)."""
-    return _gram_hashes([node.fact], cfg or NGramConfig()).tolist()
+    return _gram_hashes([node.fact], cfg or NGramConfig())[0].tolist()
 
 
 def node_signature_ngram(graph: QDag, cfg: NGramConfig | None = None) -> int:
     """N(G): uniform-weight SimHash over every gram hash of every node."""
-    return simhash(_gram_hashes([node.fact for node in graph.nodes], cfg or NGramConfig()))
+    return node_signatures_ngram([graph], cfg or NGramConfig())[0]
+
+
+def node_signatures_ngram(graphs: Sequence[QDag], cfg: NGramConfig) -> list[int]:
+    """node_signature_ngram of each graph."""
+    hashes, grams = _gram_hashes([node.fact for graph in graphs for node in graph.nodes], cfg)
+    nodes = np.array([len(graph.nodes) for graph in graphs])
+    return simhash_runs(hashes, np.add.reduceat(grams, np.cumsum(nodes) - nodes))

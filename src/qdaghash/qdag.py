@@ -48,6 +48,8 @@ class QDag:
     id: str
     nodes: tuple[PlanNode, ...]
     edges: tuple[tuple[int, int], ...]
+    # Set by validation, which sorts the graph; structural_profile reuses it.
+    _forward_order: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -58,7 +60,7 @@ class QDag:
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in edges))
-        validate_dag(self)
+        object.__setattr__(self, "_forward_order", _validated_order(self))
 
     def node_ids(self) -> list[int]:
         return [n.id for n in self.nodes]
@@ -85,6 +87,12 @@ class StructuralProfile:
 
 def validate_dag(graph: QDag) -> QDag:
     """Return the graph unchanged if well-formed; raise otherwise."""
+    _validated_order(graph)
+    return graph
+
+
+def _validated_order(graph: QDag) -> dict[int, int]:
+    """The forward topological order of a well-formed graph; raises otherwise."""
     if not graph.nodes:
         raise EmptyGraph()
     seen: set[int] = set()
@@ -96,8 +104,7 @@ def validate_dag(graph: QDag) -> QDag:
         for endpoint in edge:
             if endpoint not in seen:
                 raise DanglingEdge(endpoint, edge)
-    _topological_order(seen, graph.edges)
-    return graph
+    return _topological_order(seen, graph.edges)
 
 
 def structural_profile(graph: QDag) -> StructuralProfile:
@@ -107,7 +114,7 @@ def structural_profile(graph: QDag) -> StructuralProfile:
     topological sorts break toward the smaller node id.
     """
     ids = set(graph.node_ids())
-    forward = _topological_order(ids, graph.edges)
+    forward = graph._forward_order
     backward = _topological_order(ids, [(v, u) for u, v in graph.edges])
 
     in_degree = {i: 0 for i in ids}

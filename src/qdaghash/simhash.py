@@ -13,14 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .cityhash import HASH_ALGORITHM_ID, cityhash64
+from .cityhash import HASH_ALGORITHM_ID, cityhash64, cityhash64_spans
 from .errors import EmptyInput
 
 __all__ = [
     "HASH_ALGORITHM_ID",
     "hamming",
     "simhash",
+    "simhash_runs",
     "string_hash64",
+    "string_hashes64",
 ]
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -34,6 +36,13 @@ def string_hash64(data: str | bytes) -> int:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return cityhash64(data)
+
+
+def string_hashes64(texts: Sequence[str]) -> np.ndarray:
+    """string_hash64 of each text, as uint64, in one cityhash64_spans pass."""
+    encoded = [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return cityhash64_spans(b"".join(encoded), np.cumsum(lengths) - lengths, lengths)
 
 
 def simhash(
@@ -63,23 +72,40 @@ def simhash(
             arr = np.fromiter(hashes, dtype=np.uint64, count=n)
         except OverflowError as exc:
             raise ValueError(f"hash out of 64-bit range: {exc}") from exc
-    # (n, 64) matrix; column i holds bit i of each hash.
-    bits = np.unpackbits(
-        arr.astype("<u8").view(np.uint8).reshape(n, 8), axis=1, bitorder="little"
-    )
-    if weights is None:
-        ones = bits.sum(axis=0, dtype=np.int64)
-        total = n
-    else:
+    votes = None
+    if weights is not None:
         if len(weights) != n:
             raise ValueError(f"{len(weights)} weights for {n} hashes")
         if not all(type(w) is int and 1 <= w < _WEIGHT_LIMIT for w in weights):
             raise ValueError("weight must be an int in [1, 2**31)")
         votes = np.fromiter(weights, dtype=np.int64, count=n)
-        ones = votes @ bits.astype(np.int64)  # per-bit sum of weights with bit set
-        total = int(votes.sum())
+    return simhash_runs(arr, [n], votes)[0]
+
+
+def simhash_runs(
+    hashes: np.ndarray, sizes: Sequence[int], weights: np.ndarray | None = None
+) -> list[int]:
+    """simhash of each run of consecutive hashes, run j being the next sizes[j].
+
+    Unchecked: hashes is a 1-D uint64 array, every size is at least 1, and
+    weights, if given, is an int64 array of values in [1, 2**31).
+    """
+    # (n, 64) matrix; column i holds bit i of each hash.
+    bits = np.unpackbits(
+        hashes.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    )
+    lengths = np.asarray(sizes, np.int64)
+    starts = np.cumsum(lengths) - lengths
+    ones = np.empty((len(lengths), 64), np.int64)  # per run and bit, the votes for a 1
+    for run, (start, end) in enumerate(zip(starts.tolist(), (starts + lengths).tolist())):
+        if weights is None:
+            ones[run] = bits[start:end].sum(axis=0, dtype=np.int64)
+        else:
+            ones[run] = weights[start:end] @ bits[start:end].astype(np.int64)
+    totals = lengths if weights is None else np.add.reduceat(weights, starts)
     # tally_i = ones_i - (total - ones_i) > 0  <=>  2*ones_i > total
-    return int(np.packbits(2 * ones > total, bitorder="little").view("<u8")[0])
+    signs = np.packbits(2 * ones > totals[:, None], axis=1, bitorder="little")
+    return signs.view("<u8").ravel().tolist()
 
 
 def hamming(a: int, b: int) -> int:

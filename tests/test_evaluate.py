@@ -1,10 +1,16 @@
-"""Leave-one-out evaluation: hand-checked corpora and report consistency."""
+"""Leave-one-out evaluation: hand-checked corpora, report consistency, and
+the blocked scoring against a per-fold reference."""
 
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loo_reference import reference_report
+from qdaghash import evaluate
 from qdaghash.errors import CorpusTooSmall, MissingRuntime
 from qdaghash.evaluate import (
     BUCKET_LABELS,
@@ -13,9 +19,10 @@ from qdaghash.evaluate import (
     eval_leave_one_out,
     render_report_json,
     render_report_text,
+    score_leave_one_out,
 )
-from qdaghash.fingerprint import FingerprintConfig, fingerprint_document
-from qdaghash.index import ComplexityLabel, classify_runtime
+from qdaghash.fingerprint import Fingerprint128, FingerprintConfig, fingerprint_document
+from qdaghash.index import ComplexityLabel, IndexRecord, classify_runtime
 from qdaghash.ingest import Corpus, PlanDocument
 from qdaghash.qdag import PlanNode, QDag
 
@@ -100,6 +107,61 @@ def test_missing_runtime_names_the_plan():
 def test_corpus_too_small():
     with pytest.raises(CorpusTooSmall):
         eval_leave_one_out(corpus_of(doc_from_ops("a", 1.0, "Scan")), FingerprintConfig())
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_scoring_fewer_than_two_records_is_corpus_too_small(size):
+    records = [IndexRecord.from_runtime("a", Fingerprint128(0, 0, "structured"), 1.0)][:size]
+    with pytest.raises(CorpusTooSmall, match=f"corpus of {size} document"):
+        score_leave_one_out(records)
+
+
+SIG_POOL = (0, 0b1011, 0xF0F0, 0xFFFF_FFFF_FFFF_FFFF)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_blocked_scoring_equals_the_per_fold_reference(data):
+    # Signatures come from four words, so distance ties are the norm, and
+    # plan ids repeat; blocks of as little as one probe-row pair split the
+    # corpus anywhere.
+    draws = data.draw(st.lists(
+        st.tuples(
+            st.text(alphabet="abcé", min_size=1, max_size=2),
+            st.sampled_from(SIG_POOL),
+            st.sampled_from(SIG_POOL),
+            st.sampled_from((1.0, 12.0, 40.0)),
+        ),
+        min_size=2, max_size=30,
+    ))
+    records = [
+        IndexRecord.from_runtime(plan_id, Fingerprint128(edge, node, "structured"), runtime)
+        for plan_id, edge, node, runtime in draws
+    ]
+    k = data.draw(st.integers(1, len(records) + 2))
+    block = data.draw(st.integers(1, len(records) ** 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "BLOCK_ELEMENTS", block)
+        assert score_leave_one_out(records, k) == reference_report(records, k)
+
+
+def test_scoring_memory_does_not_grow_with_the_square_of_the_corpus():
+    rng = random.Random(11)
+    records = [
+        IndexRecord.from_runtime(
+            f"p{i}",
+            Fingerprint128(rng.getrandbits(64), rng.getrandbits(64), "structured"),
+            rng.choice([1.0, 12.0, 40.0]),
+        )
+        for i in range(3000)
+    ]
+    tracemalloc.start()
+    try:
+        score_leave_one_out(records, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # one 3000 x 3000 uint64 matrix would be 72 MB
 
 
 def test_report_internal_consistency_and_document_order_independence():

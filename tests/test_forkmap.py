@@ -53,7 +53,7 @@ def test_no_fork_means_one_cpu(monkeypatch):
 
 def test_results_come_back_in_input_order(monkeypatch):
     use_workers(monkeypatch, 3, plans_per_worker=1)
-    results = forkmap.fork_map(lambda x: (x * x, os.getpid()), list(range(10)))
+    results = forkmap.fork_map(lambda xs: [(x * x, os.getpid()) for x in xs], list(range(10)))
     assert [square for square, _ in results] == [x * x for x in range(10)]
     pids = [pid for _, pid in results]
     assert len(set(pids)) == 3 and pids[0] == os.getpid()
@@ -63,16 +63,18 @@ def test_results_come_back_in_input_order(monkeypatch):
 def test_one_worker_runs_in_process(monkeypatch):
     use_workers(monkeypatch, 1, plans_per_worker=1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    assert forkmap.fork_map(str, list(range(100))) == [str(x) for x in range(100)]
+    assert forkmap.fork_map(lambda xs: list(map(str, xs)), list(range(100))) == [
+        str(x) for x in range(100)
+    ]
 
 
 def test_an_item_that_raises_comes_back_none(monkeypatch):
     use_workers(monkeypatch, 2, plans_per_worker=1)
 
-    def fn(x):
-        if x in (4, 5):  # one in the parent's share, one in the worker's
-            raise ValueError(x)
-        return x
+    def fn(xs):
+        if {4, 5} & set(xs):  # one in the parent's share, one in the worker's
+            raise ValueError(xs)
+        return xs
 
     assert forkmap.fork_map(fn, list(range(8))) is None
 
@@ -81,10 +83,10 @@ def test_a_killed_worker_leaves_its_share_none(monkeypatch):
     use_workers(monkeypatch, 2, plans_per_worker=1)
     parent = os.getpid()
 
-    def fn(x):
+    def fn(xs):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return x
+        return xs
 
     assert forkmap.fork_map(fn, list(range(6))) is None
 
@@ -96,17 +98,17 @@ def test_a_worker_that_cannot_fork_leaves_its_share_none(monkeypatch):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert forkmap.fork_map(lambda x: x, list(range(6))) is None
+    assert forkmap.fork_map(list, list(range(6))) is None
 
 
 def test_a_failure_in_the_parent_kills_a_busy_worker(monkeypatch):
     use_workers(monkeypatch, 2, plans_per_worker=1)
     parent = os.getpid()
 
-    def fn(x):
+    def fn(xs):
         if os.getpid() != parent:
             time.sleep(60)
-        raise ValueError(x)
+        raise ValueError(xs)
 
     started = time.monotonic()
     assert forkmap.fork_map(fn, list(range(4))) is None
@@ -238,16 +240,17 @@ def spoil(batch, defect, monkeypatch):
         edit_plan(plans[80], runtime_seconds=None)
         edit_plan(plans[120], runtime_seconds=None)
     if defect.startswith("fingerprint_error"):
-        fingerprint_document = cli.fingerprint_document
+        fingerprint_documents = cli.fingerprint_documents
         unlucky = {plans[40].stem, plans[60].stem}
 
-        def failing(doc, config):
-            if doc.plan_id in unlucky:
-                raise EmptyFact(doc.plan_id)
-            return fingerprint_document(doc, config)
+        def failing(docs, config):
+            for plan in fingerprint_documents(docs, config):
+                if plan.plan_id in unlucky:
+                    raise EmptyFact(plan.plan_id)
+                yield plan
 
         for module in (cli, evaluate):
-            monkeypatch.setattr(module, "fingerprint_document", failing)
+            monkeypatch.setattr(module, "fingerprint_documents", failing)
 
 
 @pytest.mark.parametrize("defect", [
@@ -297,17 +300,18 @@ def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch
     use_workers(monkeypatch, 1)
     serial = batch_outcomes(capsys, batch150, tmp_path / "runs.qdx")
     parent = os.getpid()
-    fingerprint_document = cli.fingerprint_document
+    fingerprint_documents = cli.fingerprint_documents
     fingerprinted = []
 
-    def dying(doc, config):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        fingerprinted.append(doc.plan_id)  # reached only in the parent
-        return fingerprint_document(doc, config)
+    def dying(docs, config):
+        for plan in fingerprint_documents(docs, config):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            fingerprinted.append(plan.plan_id)  # reached only in the parent
+            yield plan
 
     for module in (cli, evaluate):
-        monkeypatch.setattr(module, "fingerprint_document", dying)
+        monkeypatch.setattr(module, "fingerprint_documents", dying)
     use_workers(monkeypatch, 2)
     assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
     assert serial[0][0] == 0
