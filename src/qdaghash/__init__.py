@@ -67,7 +67,7 @@ _EXPORTS = {
         "normalize_fact",
     ),
     "operators": ("REGISTRY_VERSION", "operator_code"),
-    "qdag": ("PlanNode", "QDag", "StructuralProfile", "structural_profile", "validate_dag"),
+    "qdag": ("PlanNode", "QDag", "StructuralProfile", "structural_profile"),
     "simhash": ("HASH_ALGORITHM_ID", "hamming", "simhash", "string_hash64"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

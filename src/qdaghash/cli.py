@@ -302,9 +302,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     every usable CPU.
 
     The forked plans are scored only when every file loaded and fingerprinted
-    with a runtime, there are at least two and their plan ids are distinct.
-    Otherwise the library evaluates the corpus again in this process, so it
-    decides the error. A bad corpus is reported before a bad flag.
+    with a runtime and their plan ids are distinct (the scorer refuses one plan
+    as the library does); otherwise the library evaluates the corpus again in
+    this process and decides the error. A bad corpus comes before a bad flag.
     """
     from .evaluate import (  # only eval needs it
         eval_leave_one_out,
@@ -320,7 +320,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise
     fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=True)
     plans = fork_map(fingerprint_files, corpus_files(args.corpus))
-    if plans is None or len(plans) < 2 or len({plan.plan_id for plan in plans}) < len(plans):
+    if plans is None or len({plan.plan_id for plan in plans}) < len(plans):
         report = eval_leave_one_out(load_corpus(args.corpus), config, args.k)
     else:
         report = score_leave_one_out([IndexRecord.from_runtime(*plan) for plan in plans], args.k)

@@ -7,6 +7,11 @@ with wrapping 64-bit addition. Field values saturate at the field maximum
 rather than wrapping, so bigger graphs keep looking bigger; carries between
 adjacent fields are accepted, and the low 8 bits stay zero to give the
 lowest field some carry slack.
+
+Every source field has its target field's width and sits one fixed shift
+above it, so an edge word is (w[u] << shift) + w[v], with w[n] node n's
+features packed into the target fields; the edge sum is then accumulated in
+one pass over the nodes, as (sum out_degree*w << shift) + sum in_degree*w.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ EDGE_FIELD_LAYOUT: tuple[tuple[str, int, int], ...] = (
 
 _WIDTHS = tuple(width for _, width, _ in EDGE_FIELD_LAYOUT)
 _OFFSETS = tuple(offset for _, _, offset in EDGE_FIELD_LAYOUT)
+# How far each source field sits above its target field.
+_SOURCE_SHIFT = _OFFSETS[0] - _OFFSETS[5]
 
 
 def pack_edge_word(values: tuple[int, ...]) -> int:
@@ -51,22 +58,12 @@ def edge_signature(graph: QDag, profile: StructuralProfile) -> int:
     order. An edgeless graph contributes one word per node with the node's
     features in the source fields and the target fields zero.
     """
-    code = {node.id: operator_code(node.operator_name) for node in graph.nodes}
-
-    def endpoint_fields(node_id: int) -> tuple[int, int, int, int, int]:
-        return (
-            code[node_id],
-            profile.forward_order[node_id],
-            profile.backward_order[node_id],
-            profile.in_degree[node_id],
-            profile.out_degree[node_id],
-        )
-
-    total = 0
-    if graph.edges:
-        for u, v in graph.edges:
-            total = (total + pack_edge_word(endpoint_fields(u) + endpoint_fields(v))) & MASK64
-    else:
-        for node in graph.nodes:
-            total = (total + pack_edge_word(endpoint_fields(node.id) + (0, 0, 0, 0, 0))) & MASK64
-    return total
+    as_source = as_target = 0
+    for node in graph.nodes:
+        n = node.id
+        word = pack_edge_word((0, 0, 0, 0, 0, operator_code(node.operator_name),
+                               profile.forward_order[n], profile.backward_order[n],
+                               profile.in_degree[n], profile.out_degree[n]))
+        as_source += (profile.out_degree[n] if graph.edges else 1) * word
+        as_target += profile.in_degree[n] * word
+    return ((as_source << _SOURCE_SHIFT) + as_target) & MASK64

@@ -76,22 +76,6 @@ class EvalReport:
             "granularity": GRANULARITY_NOTE,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, object]) -> "EvalReport":
-        return cls(
-            approach=str(obj["approach"]),
-            corpus_size=int(obj["corpus_size"]),  # type: ignore[arg-type]
-            k=int(obj["k"]),  # type: ignore[arg-type]
-            accuracy=float(obj["accuracy"]),  # type: ignore[arg-type]
-            err_simple_as_heavier=float(obj["err_simple_as_heavier"]),  # type: ignore[arg-type]
-            err_heavy_as_simple=float(obj["err_heavy_as_simple"]),  # type: ignore[arg-type]
-            confusion=tuple(tuple(row) for row in obj["confusion"]),  # type: ignore[arg-type]
-            buckets=tuple(
-                DistanceBucket(b["label"], b["count"], b["correct"])  # type: ignore[index]
-                for b in obj["buckets"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 def eval_leave_one_out(
     corpus: Corpus,

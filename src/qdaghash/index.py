@@ -405,7 +405,7 @@ def _keys(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 class Index:
     """In-memory store of IndexRecords behind a config-stamped header."""
 
-    def __init__(self, header: IndexHeader, records: Iterable[IndexRecord] = ()):
+    def __init__(self, header: IndexHeader):
         if header.approach not in APPROACHES:
             raise ConfigMismatch("approach", "|".join(APPROACHES), header.approach)
         self.header = header
@@ -417,8 +417,6 @@ class Index:
         self._frozen = _Columns(self._ids, *_row_arrays(()))
         # Rows added or replaced since _frozen was built, folded in by _columns.
         self._pending: dict[int, tuple[int, int, float, int]] = {}
-        for record in records:
-            self.add(record)
 
     @classmethod
     def new(cls, config: FingerprintConfig | None = None) -> "Index":

@@ -2,8 +2,9 @@
 
 Each node's fact line is treated as a character stream: normalize, slide a
 length-n window, hash every gram, then combine the grams of all nodes with
-uniform-weight SimHash. Repeated grams keep their multiplicity by default;
-set dedupe for per-node set semantics.
+uniform-weight SimHash. Normalizing strips expression ids and collapses
+whitespace, unless turned off, and keeps case (lower=0 in the stamp); grams
+keep their multiplicity unless dedupe asks for per-node set semantics.
 
 A plan's grams are hashed in one numpy pass, with no loop over grams: the
 normalized facts are joined and UTF-8-encoded once, every gram becomes a
@@ -36,7 +37,6 @@ class NGramConfig:
     n: int = 3
     collapse_whitespace: bool = True
     strip_ids: bool = True
-    lowercase: bool = False
     dedupe: bool = False
 
     def __post_init__(self) -> None:
@@ -48,17 +48,18 @@ class NGramConfig:
         return (
             f"n={self.n},strip_ids={int(self.strip_ids)},"
             f"collapse_ws={int(self.collapse_whitespace)},"
-            f"lower={int(self.lowercase)},dedupe={int(self.dedupe)}"
+            f"lower=0,dedupe={int(self.dedupe)}"
         )
 
     @classmethod
     def from_id(cls, config_id: str) -> "NGramConfig":
         fields = dict(part.split("=", 1) for part in config_id.split(","))
+        if int(fields["lower"]):
+            raise ValueError(f"facts are never lowercased: {config_id}")
         return cls(
             n=int(fields["n"]),
             strip_ids=bool(int(fields["strip_ids"])),
             collapse_whitespace=bool(int(fields["collapse_ws"])),
-            lowercase=bool(int(fields["lower"])),
             dedupe=bool(int(fields["dedupe"])),
         )
 
@@ -68,8 +69,6 @@ def normalize_fact(fact: str, cfg: NGramConfig) -> str:
         fact = _ID_TOKEN.sub("", fact)
     if cfg.collapse_whitespace:
         fact = _WS_RUN.sub(" ", fact).strip()
-    if cfg.lowercase:
-        fact = fact.lower()
     return fact
 
 

@@ -27,7 +27,8 @@ class PlanNode:
     id: int
     operator_name: str
     fact: str
-    properties: Mapping[str, PropertyValue] = field(default_factory=dict)
+    # Compared but not hashed: a dict has no hash.
+    properties: Mapping[str, PropertyValue] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
@@ -83,12 +84,6 @@ class StructuralProfile:
     in_degree: Mapping[int, int]
     out_degree: Mapping[int, int]
     depth: Mapping[int, int]
-
-
-def validate_dag(graph: QDag) -> QDag:
-    """Return the graph unchanged if well-formed; raise otherwise."""
-    _validated_order(graph)
-    return graph
 
 
 def _validated_order(graph: QDag) -> dict[int, int]:

@@ -49,9 +49,6 @@ class SyntheticSpec:
     families: tuple[FamilySpec, ...]
     perturbation_rate: float = 0.1
 
-    def total(self) -> int:
-        return sum(f.count for f in self.families)
-
 
 def default_spec(
     seed: int = 42,

@@ -9,7 +9,8 @@ import pytest
 from conftest import nested_reuse_plan, save_v1
 
 from qdaghash.cli import main
-from qdaghash.index import Index
+from qdaghash.fingerprint import FingerprintConfig
+from qdaghash.index import Index, IndexHeader
 from qdaghash.synth import default_spec, generate_corpus
 
 PLAN_TEXT = """-- plan_id: demo
@@ -168,6 +169,40 @@ def test_flags_checked_against_default_ngram_header(tmp_path, corpus_dir, capsys
         assert err == ""
     else:
         assert f"config mismatch on '{field}'" in err
+
+
+@pytest.mark.parametrize("n", [None, 5])
+@pytest.mark.parametrize("keep_ids", [False, True])
+@pytest.mark.parametrize("no_normalize", [False, True])
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_ngram_stamp_keeps_its_format(plan_file, capsys, n, keep_ids, no_normalize, dedupe):
+    flags = [*(["--ngram-n", n] if n else []), *(["--keep-ids"] if keep_ids else []),
+             *(["--no-normalize"] if no_normalize else []), *(["--ngram-dedupe"] if dedupe else [])]
+    assert run_cli("fingerprint", plan_file, "--approach", "ngram", "--json", *flags) == 0
+    stamp = json.loads(capsys.readouterr().out)["node_config"]
+    assert stamp == (
+        f"n={n or 3},strip_ids={int(not keep_ids)},collapse_ws={int(not no_normalize)},"
+        f"lower=0,dedupe={int(dedupe)}"
+    )
+
+
+def test_lowercasing_ngram_index_is_shown_but_refused_at_use(tmp_path, plan_file, capsys):
+    header = IndexHeader.for_config(FingerprintConfig("ngram")).to_json_obj()
+    header = {**header, "version": 1, "ngram_config": "n=3,strip_ids=1,collapse_ws=1,lower=1,dedupe=0"}
+    record = {"plan_id": "old", "edge_fp": "00000000000000ff", "node_fp": "0000000000000001",
+              "runtime_seconds": 2.0, "label": "Simple"}
+    index_path = tmp_path / "lower.qdx"
+    index_path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n", encoding="utf-8")
+    before = index_path.read_bytes()
+    for command in (["index", "add"], ["match"], ["predict"]):
+        assert run_cli(*command, plan_file, "--index", index_path) == 1
+        err = capsys.readouterr().err
+        assert "config mismatch on 'ngram_config'" in err and "lower=1" in err
+    assert index_path.read_bytes() == before
+
+    assert run_cli("index", "show", "--index", index_path) == 0
+    out = capsys.readouterr().out
+    assert "lower=1" in out and "records: 1" in out and "old" in out
 
 
 def test_missing_runtime_rejected_on_index_add(tmp_path, capsys):

@@ -3,8 +3,9 @@
 import random
 import statistics
 
-from conftest import chain_graph, make_node, permuted, random_dag
+from conftest import OPERATOR_POOL, chain_graph, make_node, permuted, random_dag
 from qdaghash.edges import EDGE_FIELD_LAYOUT, edge_signature, pack_edge_word
+from qdaghash.operators import operator_code
 from qdaghash.qdag import QDag, structural_profile
 from qdaghash.simhash import hamming
 
@@ -21,6 +22,16 @@ def test_layout_is_disjoint_and_leaves_low_byte_zero():
         taken |= mask
     assert taken & 0xFF == 0
     assert sum(width for _, width, _ in EDGE_FIELD_LAYOUT) == 56
+
+
+def test_source_fields_are_the_target_fields_shifted_by_one_amount():
+    sources, targets = EDGE_FIELD_LAYOUT[:5], EDGE_FIELD_LAYOUT[5:]
+    shifts = set()
+    for (src_name, src_width, src_offset), (tgt_name, tgt_width, tgt_offset) in zip(sources, targets):
+        assert src_name.removeprefix("src_") == tgt_name.removeprefix("tgt_")
+        assert src_width == tgt_width
+        shifts.add(src_offset - tgt_offset)
+    assert len(shifts) == 1
 
 
 def test_single_edge_hand_packed_word():
@@ -55,6 +66,41 @@ def pack_oracle(values):
     return word
 
 
+def per_edge_oracle(graph):
+    """S(G) by its definition: the wrapped sum of one packed word per edge,
+    repeats included; an edgeless graph packs each node in the source fields."""
+    profile = structural_profile(graph)
+    code = {node.id: operator_code(node.operator_name) for node in graph.nodes}
+
+    def fields(n):
+        return (
+            code[n], profile.forward_order[n], profile.backward_order[n],
+            profile.in_degree[n], profile.out_degree[n],
+        )
+
+    words = [pack_oracle(fields(u) + fields(v)) for u, v in graph.edges] or [
+        pack_oracle(fields(node.id) + (0, 0, 0, 0, 0)) for node in graph.nodes
+    ]
+    return sum(words) & 0xFFFFFFFFFFFFFFFF
+
+
+def test_one_pass_sum_equals_per_edge_sum_with_repeated_edges():
+    rng = random.Random(6)
+    for _ in range(60):
+        graph = random_dag(rng, rng.randint(2, 25), rng.randint(0, 15))
+        repeats = rng.choices(graph.edges, k=rng.randint(1, 10))
+        graph = QDag(graph.id, graph.nodes, graph.edges + tuple(repeats))
+        assert sig(graph) == per_edge_oracle(graph)
+
+
+def test_one_pass_sum_equals_per_edge_sum_on_edgeless_graphs():
+    for operator in OPERATOR_POOL:
+        graph = QDag("one", [make_node(0, operator)], [])
+        assert sig(graph) == per_edge_oracle(graph)
+    graph = QDag("three", [make_node(i, op) for i, op in enumerate(OPERATOR_POOL[:3])], [])
+    assert sig(graph) == per_edge_oracle(graph)
+
+
 def test_field_saturation_on_a_300_node_chain():
     graph = chain_graph(*["Scan"] * 301)
     profile = structural_profile(graph)
@@ -70,6 +116,24 @@ def test_field_saturation_on_a_300_node_chain():
         )
         total = (total + pack_oracle(fields)) & 0xFFFFFFFFFFFFFFFF
     assert sig(graph) == total
+
+
+def test_one_pass_sum_equals_per_edge_sum_past_order_saturation():
+    graph = chain_graph(*(OPERATOR_POOL[i % len(OPERATOR_POOL)] for i in range(260)))
+    profile = structural_profile(graph)
+    assert profile.forward_order[259] == profile.backward_order[0] == 259  # past 255
+    assert sig(graph) == per_edge_oracle(graph)
+
+
+def test_one_pass_sum_equals_per_edge_sum_past_degree_saturation():
+    # Node 0 consumes ten sources (one twice) and feeds nine sinks: degrees
+    # 11 and 9 exceed the 3-bit fields.
+    nodes = [make_node(i, "HashAggregate" if i == 0 else "Scan") for i in range(20)]
+    edges = [(i, 0) for i in range(1, 11)] + [(1, 0)] + [(0, j) for j in range(11, 20)]
+    graph = QDag("hub", nodes, edges)
+    profile = structural_profile(graph)
+    assert (profile.in_degree[0], profile.out_degree[0]) == (11, 9)
+    assert sig(graph) == per_edge_oracle(graph)
 
 
 def test_values_saturate_not_wrap():

@@ -1,7 +1,6 @@
 """Leave-one-out evaluation: hand-checked corpora, report consistency, and
 the blocked scoring against a per-fold reference."""
 
-import json
 import random
 import tracemalloc
 
@@ -17,7 +16,6 @@ from qdaghash.evaluate import (
     DistanceBucket,
     EvalReport,
     eval_leave_one_out,
-    render_report_json,
     render_report_text,
     score_leave_one_out,
 )
@@ -237,16 +235,6 @@ def test_report_equals_brute_force_per_fold_reference(approach):
     config = FingerprintConfig(approach=approach)
     for k in (1, 3, len(docs) - 1, len(docs), len(docs) + 5):
         assert eval_leave_one_out(corpus_of(*docs), config, k=k) == brute_force_report(docs, config, k)
-
-
-def test_report_json_round_trip():
-    corpus = corpus_of(
-        doc_from_ops("a", 2.0, "Scan", "Filter"),
-        doc_from_ops("b", 2.0, "Scan", "Filter"),
-    )
-    report = eval_leave_one_out(corpus, FingerprintConfig(), k=2)
-    again = EvalReport.from_json_obj(json.loads(render_report_json(report)))
-    assert again == report
 
 
 def test_text_report_contains_required_rows_and_na_buckets():

@@ -23,7 +23,6 @@ CONFIGS = [
     FingerprintConfig("structured"),
     FingerprintConfig("ngram"),
     FingerprintConfig("ngram", NGramConfig(dedupe=True)),
-    FingerprintConfig("ngram", NGramConfig(lowercase=True)),
 ]
 
 

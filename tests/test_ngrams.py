@@ -57,9 +57,14 @@ def test_n_must_be_positive():
 def test_config_id_round_trip():
     for cfg in (
         NGramConfig(),
-        NGramConfig(n=5, strip_ids=False, collapse_whitespace=False, lowercase=True, dedupe=True),
+        NGramConfig(n=5, strip_ids=False, collapse_whitespace=False, dedupe=True),
     ):
         assert NGramConfig.from_id(cfg.config_id()) == cfg
+
+
+def test_config_id_of_lowercased_facts_is_refused():
+    with pytest.raises(ValueError, match="lower=1"):
+        NGramConfig.from_id("n=3,strip_ids=1,collapse_ws=1,lower=1,dedupe=0")
 
 
 # -- per-node hashes -------------------------------------------------------------
@@ -160,8 +165,8 @@ def reference_hashes(fact: str, cfg: NGramConfig) -> list[int]:
     return list(dict.fromkeys(hashes)) if cfg.dedupe else hashes
 
 
-# Mostly arbitrary code points (multi-byte UTF-8, case changes that alter
-# length), with id tokens and whitespace runs for the normalizer to act on.
+# Mostly arbitrary code points (multi-byte UTF-8), with id tokens and
+# whitespace runs for the normalizer to act on.
 facts = st.lists(
     st.text(
         st.one_of(st.sampled_from("#0123456789  \t\nab"), st.characters(codec="utf-8")),
@@ -176,7 +181,6 @@ configs = st.builds(
     n=st.integers(min_value=1, max_value=20),
     collapse_whitespace=st.booleans(),
     strip_ids=st.booleans(),
-    lowercase=st.booleans(),
     dedupe=st.booleans(),
 )
 

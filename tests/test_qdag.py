@@ -7,14 +7,15 @@ from hypothesis import given, settings
 
 from conftest import chain_graph, dag_graphs, make_node, permuted, random_dag
 from qdaghash.errors import CycleDetected, DanglingEdge, DuplicateNodeId, EmptyGraph
-from qdaghash.qdag import PlanNode, QDag, structural_profile, validate_dag
+from qdaghash.qdag import PlanNode, QDag, structural_profile
 
 
 # -- validation ---------------------------------------------------------------
 
 def test_three_node_chain_accepted():
     graph = chain_graph("Scan", "Filter", "Project")
-    assert validate_dag(graph) is graph
+    assert graph.node_ids() == [0, 1, 2]
+    assert graph.edges == ((0, 1), (1, 2))
 
 
 def test_two_cycle_rejected():
@@ -52,6 +53,21 @@ def test_node_invariants():
         PlanNode(0, "", "x")
     with pytest.raises(ValueError):
         PlanNode(0, "Scan", "Filter t")  # fact must begin with the operator
+
+
+def test_equal_graphs_hash_equal():
+    a = QDag("g", [make_node(0, rows=5), make_node(1, "Filter")], [(0, 1)])
+    b = QDag("g", [make_node(0, rows=5), make_node(1, "Filter")], [(0, 1)])
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_graphs_differing_only_in_node_properties_are_unequal():
+    a = QDag("g", [make_node(0, rows=5), make_node(1, "Filter")], [(0, 1)])
+    b = QDag("g", [make_node(0, rows=6), make_node(1, "Filter")], [(0, 1)])
+    assert a != b
+    assert len({a, b}) == 2
 
 
 # -- structural profile --------------------------------------------------------
