@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CorpusTooSmall, MissingRuntime
 from .fingerprint import FingerprintConfig, fingerprint_documents
-from .index import ComplexityLabel, IndexRecord, _Columns, _two_step
+from .index import ComplexityLabel, IndexRecord, _Columns, _classify_column, _two_step
 from .ingest import Corpus
 
 GRANULARITY_NOTE = "per plan document (stage- vs query-level input is the caller's choice)"
@@ -124,7 +124,7 @@ def score_leave_one_out(records: Sequence[IndexRecord], k: int = 10) -> EvalRepo
         node_distance[probes] = node_d[:, 0]
         nearest[probes] = rows[:, 0]
 
-    actual = columns.label.astype(np.intp)
+    actual = _classify_column(columns.runtime)
     predicted = actual[nearest]
     # Rows actual, columns predicted; label 0 is SIMPLE.
     confusion = np.bincount(actual * 3 + predicted, minlength=9).reshape(3, 3)

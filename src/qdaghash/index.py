@@ -1,8 +1,9 @@
 """Fingerprint index: runtime labels, two-step matching, 1-NN prediction.
 
 An index holds its records as parallel columns in insertion order: edge
-and node signatures (uint64), runtime (float64), label (uint8) and the
-plan ids.
+and node signatures (uint64), runtime (float64) and the plan ids. A
+record's label is not stored beside its runtime: classify_runtime and
+_classify_column derive it from the runtime, through one bounds tuple.
 
 Matching is a linear scan in two steps: first keep the k records closest
 to the probe by edge-signature Hamming distance, then rank those k by
@@ -32,6 +33,9 @@ little-endian blocks, in this order:
     label    n x u1   ComplexityLabel of each runtime
     ids      m bytes  the UTF-8 plan ids, concatenated
 
+Save writes the label block from the runtimes, and load checks it against
+them.
+
 Index.load reads the blocks with np.frombuffer and checks every record
 column-wise (see _read_v2), plan ids included, without a Python object per
 record: the ids are valid UTF-8 when the whole blob decodes and no id
@@ -58,24 +62,18 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
-import math
 import os
 import stat
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, overload
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    ConfigMismatch,
-    EmptyIndex,
-    IndexFormatError,
-    NegativeRuntime,
-    NonFiniteRuntime,
-)
+from .errors import ConfigMismatch, EmptyIndex, IndexFormatError, InputError
 from .edges import EDGE_LAYOUT_VERSION
 from .features import FEATURE_SCHEMA_VERSION
 from .fingerprint import (
@@ -85,6 +83,7 @@ from .fingerprint import (
     Fingerprint128,
     FingerprintConfig,
 )
+from .ingest import check_plan_id, check_runtime
 from .ngrams import NGramConfig
 from .operators import REGISTRY_VERSION
 from .simhash import HASH_ALGORITHM_ID
@@ -92,8 +91,9 @@ from .simhash import HASH_ALGORITHM_ID
 INDEX_FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, INDEX_FORMAT_VERSION)
 
-SIMPLE_MEDIUM_BOUNDARY_SECONDS = 5.0
-MEDIUM_COMPLEX_BOUNDARY_SECONDS = 30.0
+# The Simple/Medium and Medium/Complex boundaries; a runtime on one is the
+# heavier label.
+LABEL_BOUNDS_SECONDS = (5.0, 30.0)
 
 
 class ComplexityLabel(enum.IntEnum):
@@ -117,46 +117,39 @@ class ComplexityLabel(enum.IntEnum):
 
 def classify_runtime(runtime_seconds: float) -> ComplexityLabel:
     """[0, 5) -> Simple, [5, 30) -> Medium, [30, inf) -> Complex."""
-    value = float(runtime_seconds)
-    if not math.isfinite(value):
-        raise NonFiniteRuntime(value)
-    if value < 0:
-        raise NegativeRuntime(value)
-    if value < SIMPLE_MEDIUM_BOUNDARY_SECONDS:
-        return ComplexityLabel.SIMPLE
-    if value < MEDIUM_COMPLEX_BOUNDARY_SECONDS:
-        return ComplexityLabel.MEDIUM
-    return ComplexityLabel.COMPLEX
+    return ComplexityLabel(bisect_right(LABEL_BOUNDS_SECONDS, check_runtime(runtime_seconds)))
 
 
 def _classify_column(runtime: np.ndarray) -> np.ndarray:
     """classify_runtime of each finite, non-negative runtime, as label values."""
-    bounds = (SIMPLE_MEDIUM_BOUNDARY_SECONDS, MEDIUM_COMPLEX_BOUNDARY_SECONDS)
-    return np.searchsorted(bounds, runtime, side="right")
+    return np.searchsorted(LABEL_BOUNDS_SECONDS, runtime, side="right")
 
 
 @dataclass(frozen=True)
 class IndexRecord:
-    """One past execution: fingerprint, measured runtime, derived label."""
+    """One past execution: exactly what a row of an index file holds.
+
+    The plan_id must pass check_plan_id, and the runtime check_runtime,
+    whose float is what the record keeps; the label is derived from it.
+    """
 
     plan_id: str
     fingerprint: Fingerprint128
     runtime_seconds: float
-    label: ComplexityLabel
 
     def __post_init__(self) -> None:
-        expected = classify_runtime(self.runtime_seconds)
-        if self.label is not expected:
-            raise ValueError(
-                f"label {self.label.display} does not match runtime "
-                f"{self.runtime_seconds} ({expected.display})"
-            )
+        check_plan_id(self.plan_id)
+        object.__setattr__(self, "runtime_seconds", check_runtime(self.runtime_seconds))
+
+    @property
+    def label(self) -> ComplexityLabel:
+        return classify_runtime(self.runtime_seconds)
 
     @classmethod
     def from_runtime(
         cls, plan_id: str, fingerprint: Fingerprint128, runtime_seconds: float
     ) -> "IndexRecord":
-        return cls(plan_id, fingerprint, float(runtime_seconds), classify_runtime(runtime_seconds))
+        return cls(plan_id, fingerprint, runtime_seconds)
 
 
 @dataclass(frozen=True)
@@ -282,8 +275,8 @@ def require_compatible(
 _U64 = np.dtype("<u8")
 _F64 = np.dtype("<f8")
 _U8 = np.dtype("u1")
-# A record's row values: edge signature, node signature, runtime, label.
-_ROW_DTYPES = (_U64, _U64, _F64, _U8)
+# A record's row values: edge signature, node signature, runtime.
+_ROW_DTYPES = (_U64, _U64, _F64)
 # Larger than any Hamming distance between 64-bit words.
 _EXCLUDED = 255
 # Larger than any _two_step key.
@@ -305,15 +298,7 @@ class _IdColumn(Sequence[str]):
     def __len__(self) -> int:
         return len(self._ends)
 
-    @overload
-    def __getitem__(self, row: int) -> str: ...
-
-    @overload
-    def __getitem__(self, row: slice) -> list[str]: ...
-
-    def __getitem__(self, row: int | slice) -> str | list[str]:
-        if isinstance(row, slice):
-            return [self[i] for i in range(*row.indices(len(self)))]
+    def __getitem__(self, row: int) -> str:  # type: ignore[override]
         return self._blob[self._starts[row] : self._ends[row]].decode("utf-8")
 
     def __iter__(self) -> Iterator[str]:
@@ -323,31 +308,26 @@ class _IdColumn(Sequence[str]):
 
 
 class _Columns(NamedTuple):
-    """A snapshot of an index's rows, in insertion order.
-
-    ids may be the index's own list, which is only ever appended to, so it
-    can run longer than the arrays; rows past len(edge) are not in the
-    snapshot. After a load, until the first add, ids is an _IdColumn.
-    """
+    """A snapshot of an index's rows, in insertion order; after a load,
+    until the first add, ids is an _IdColumn."""
 
     ids: Sequence[str]
     edge: np.ndarray
     node: np.ndarray
     runtime: np.ndarray
-    label: np.ndarray
 
     @classmethod
     def of(cls, records: Sequence[IndexRecord]) -> "_Columns":
         return cls([r.plan_id for r in records], *_row_arrays([_row(r) for r in records]))
 
 
-def _row(record: IndexRecord) -> tuple[int, int, float, int]:
+def _row(record: IndexRecord) -> tuple[int, int, float]:
     fp = record.fingerprint
-    return fp.edge_sig, fp.node_sig, record.runtime_seconds, record.label
+    return fp.edge_sig, fp.node_sig, record.runtime_seconds
 
 
-def _row_arrays(rows: Sequence[tuple[int, int, float, int]]) -> list[np.ndarray]:
-    """The edge, node, runtime and label arrays of rows."""
+def _row_arrays(rows: Sequence[tuple[int, int, float]]) -> list[np.ndarray]:
+    """The edge, node and runtime arrays of rows."""
     columns = list(zip(*rows)) or [()] * len(_ROW_DTYPES)
     return [np.array(values, dtype) for values, dtype in zip(columns, _ROW_DTYPES)]
 
@@ -414,9 +394,9 @@ class Index:
         self._ids: Sequence[str] = []
         # plan_id -> row; None after a load until the first add needs it.
         self._row_of: dict[str, int] | None = {}
-        self._frozen = _Columns(self._ids, *_row_arrays(()))
+        self._frozen = _Columns.of(())
         # Rows added or replaced since _frozen was built, folded in by _columns.
-        self._pending: dict[int, tuple[int, int, float, int]] = {}
+        self._pending: dict[int, tuple[int, int, float]] = {}
 
     @classmethod
     def new(cls, config: FingerprintConfig | None = None) -> "Index":
@@ -437,7 +417,7 @@ class Index:
                     array[: len(old)] = old
                     array[rows] = new
                     arrays.append(array)
-                self._frozen = _Columns(self._ids, *arrays)
+                self._frozen = _Columns(list(self._ids), *arrays)
                 self._pending = {}
             return self._frozen
 
@@ -445,10 +425,8 @@ class Index:
         columns = self._columns()
         approach = self.header.approach
         return [
-            IndexRecord(
-                plan_id, Fingerprint128(edge, node, approach), runtime, ComplexityLabel(label)
-            )
-            for plan_id, edge, node, runtime, label in zip(
+            IndexRecord(plan_id, Fingerprint128(edge, node, approach), runtime)
+            for plan_id, edge, node, runtime in zip(
                 columns.ids, *(array.tolist() for array in columns[1:])
             )
         ]
@@ -482,15 +460,12 @@ class Index:
         if not len(columns.edge):
             raise EmptyIndex()
         edge_d, node_d, rows = _two_step(columns, [probe.edge_sig], [probe.node_sig], k, top_n or k)
+        runtimes = columns.runtime[rows[0]].tolist()
         return [
-            MatchResult(
-                columns.ids[row],
-                edge,
-                node,
-                ComplexityLabel(int(columns.label[row])),
-                float(columns.runtime[row]),
+            MatchResult(columns.ids[row], edge, node, classify_runtime(runtime), runtime)
+            for edge, node, row, runtime in zip(
+                edge_d[0].tolist(), node_d[0].tolist(), rows[0].tolist(), runtimes
             )
-            for edge, node, row in zip(edge_d[0].tolist(), node_d[0].tolist(), rows[0].tolist())
         ]
 
     def predict(
@@ -506,7 +481,7 @@ class Index:
         """Write the index as a version 2 file; see the module docstring."""
         columns = self._columns()
         n = len(columns.edge)
-        ids = [plan_id.encode("utf-8") for plan_id in columns.ids[:n]]
+        ids = [plan_id.encode("utf-8") for plan_id in columns.ids]
         blob = b"".join(ids)
         header = replace(self.header, version=INDEX_FORMAT_VERSION)
         _replace_file(
@@ -518,7 +493,7 @@ class Index:
                 columns.node.tobytes(),
                 columns.runtime.tobytes(),
                 np.cumsum(np.fromiter(map(len, ids), _U64, n), dtype=_U64).tobytes(),
-                columns.label.tobytes(),
+                _classify_column(columns.runtime).astype(_U8).tobytes(),
                 blob,
             ],
         )
@@ -652,11 +627,14 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
         )
 
     runtime, label = blocks["runtime"], blocks["label"]
+    # The mask is check_runtime over the column; check_runtime itself words
+    # the first bad record's error.
     bad = _first(~(np.isfinite(runtime) & (runtime >= 0)))
     if bad is not None:
-        value = float(runtime[bad - 1])
-        error = NonFiniteRuntime(value) if not math.isfinite(value) else NegativeRuntime(value)
-        raise IndexFormatError(f"record {bad}", str(error))
+        try:
+            check_runtime(runtime[bad - 1])
+        except InputError as exc:
+            raise IndexFormatError(f"record {bad}", str(exc)) from exc
     bad = _first(label != _classify_column(runtime))
     if bad is not None:
         value = float(runtime[bad - 1])
@@ -698,7 +676,7 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
             if plan_id in seen:
                 raise IndexFormatError(f"record {record}", f"duplicate plan_id {plan_id!r}")
             seen.add(plan_id)
-    return _Columns(ids, blocks["edge"], blocks["node"], runtime, label)
+    return _Columns(ids, blocks["edge"], blocks["node"], runtime)
 
 
 def _read_v1(data: bytes, pos: int, approach: str) -> list[IndexRecord]:
@@ -730,8 +708,6 @@ def _parse_record_line(line: str, line_no: int, approach: str) -> IndexRecord:
         label = ComplexityLabel.parse(obj["label"])
     except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise IndexFormatError(line_no, str(exc)) from exc
-    if not isinstance(plan_id, str) or not plan_id:
-        raise IndexFormatError(line_no, "plan_id must be a non-empty string")
     for name, value in (("edge_fp", edge_hex), ("node_fp", node_hex)):
         if not isinstance(value, str) or len(value) != 16:
             raise IndexFormatError(line_no, f"{name} must be 16 hex characters")
@@ -742,7 +718,13 @@ def _parse_record_line(line: str, line_no: int, approach: str) -> IndexRecord:
     if isinstance(runtime, bool) or not isinstance(runtime, (int, float)):
         raise IndexFormatError(line_no, "runtime_seconds must be a number")
     try:
-        record = IndexRecord(plan_id, fingerprint, float(runtime), label)
-    except (ValueError, NegativeRuntime, NonFiniteRuntime) as exc:
+        record = IndexRecord(plan_id, fingerprint, runtime)
+    except InputError as exc:
         raise IndexFormatError(line_no, str(exc)) from exc
+    if label is not record.label:
+        raise IndexFormatError(
+            line_no,
+            f"label {label.display} does not match runtime {record.runtime_seconds} "
+            f"({record.label.display})",
+        )
     return record

@@ -54,6 +54,29 @@ _DEFAULT_PLAN_ID = "plan"
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
+def check_plan_id(plan_id: object) -> None:
+    """Raise SchemaViolation unless plan_id is a non-empty str that UTF-8
+    can encode."""
+    if not isinstance(plan_id, str) or not plan_id:
+        raise SchemaViolation("plan_id", "must be a non-empty string")
+    if _LONE_SURROGATE.search(plan_id):
+        raise SchemaViolation("plan_id", "must not contain a lone surrogate")
+
+
+def check_runtime(runtime_seconds: float) -> float:
+    """runtime_seconds as a finite, non-negative float; an int past the float
+    range is not finite."""
+    try:
+        value = float(runtime_seconds)
+    except OverflowError:
+        value = math.inf if runtime_seconds > 0 else -math.inf
+    if not math.isfinite(value):
+        raise NonFiniteRuntime(value)
+    if value < 0:
+        raise NegativeRuntime(value)
+    return value
+
+
 @dataclass(frozen=True)
 class PlanDocument:
     """One plan with an optional measured-runtime label."""
@@ -63,16 +86,9 @@ class PlanDocument:
     graph: QDag
 
     def __post_init__(self) -> None:
-        if _LONE_SURROGATE.search(self.plan_id):
-            raise SchemaViolation("plan_id", "must not contain a lone surrogate")
-        if self.runtime_seconds is None:
-            return
-        value = float(self.runtime_seconds)
-        if not math.isfinite(value):
-            raise NonFiniteRuntime(value)
-        if value < 0:
-            raise NegativeRuntime(value)
-        object.__setattr__(self, "runtime_seconds", value)
+        check_plan_id(self.plan_id)
+        if self.runtime_seconds is not None:
+            object.__setattr__(self, "runtime_seconds", check_runtime(self.runtime_seconds))
 
 
 @dataclass(frozen=True)
@@ -115,8 +131,7 @@ def parse_plan_json(data: bytes | str) -> PlanDocument:
     plan_id = obj.get("plan_id")
     if plan_id is None:
         raise SchemaViolation("plan_id", "required")
-    if not isinstance(plan_id, str) or not plan_id:
-        raise SchemaViolation("plan_id", "must be a non-empty string")
+    check_plan_id(plan_id)
 
     runtime = obj.get("runtime_seconds")
     if runtime is not None and (

@@ -255,6 +255,50 @@ def test_plan_id_that_is_not_unicode_exits_2_and_keeps_the_index(tmp_path, plan_
     assert "surrogate.json" in capsys.readouterr().err
 
 
+def test_runtime_past_the_float_range_exits_2_and_keeps_the_index(tmp_path, plan_file, capsys):
+    index_path = tmp_path / "runs.qdx"
+    assert run_cli("index", "add", plan_file, "--index", index_path) == 0
+    before = index_path.read_bytes()
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "plan_id": "huge", "runtime_seconds": 10**400,
+        "nodes": [{"id": 0, "operator": "Scan", "fact": "Scan t"}], "edges": [],
+    }))
+    capsys.readouterr()
+    for argv in (
+        ("fingerprint", huge),
+        ("predict", huge, "--index", index_path),
+        ("index", "add", huge, "--index", index_path),
+    ):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {huge}: runtime_seconds must be finite, got inf\n")
+        assert index_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("runtime_seconds", 10**400, "runtime_seconds must be finite, got inf"),
+    ("plan_id", "q\ud800", "schema violation on field 'plan_id': must not contain a lone surrogate"),
+])
+def test_v1_record_outside_the_record_contract_exits_1_at_load(
+    tmp_path, plan_file, capsys, key, value, message
+):
+    index_path = tmp_path / "runs.qdx"
+    assert run_cli("index", "add", plan_file, "--index", index_path) == 0
+    save_v1(Index.load(index_path), index_path)
+    header, line = index_path.read_text().splitlines()
+    index_path.write_text(f"{header}\n{json.dumps({**json.loads(line), key: value})}\n")
+    before = index_path.read_bytes()
+    capsys.readouterr()
+    for argv in (
+        ("index", "show", "--index", index_path),
+        ("predict", plan_file, "--index", index_path),
+        ("index", "add", plan_file, "--index", index_path),
+    ):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: index file line 2: {message}\n")
+        assert index_path.read_bytes() == before
+
+
 def test_index_add_into_missing_directory_names_the_index_path(tmp_path, plan_file, capsys):
     index_path = tmp_path / "nodir" / "runs.qdx"
     assert run_cli("index", "add", plan_file, "--index", index_path) == 1

@@ -230,6 +230,20 @@ def test_bad_file_mid_batch_fails_as_in_one_process(batch150, tmp_path, monkeypa
     ]
 
 
+def test_runtime_past_the_float_range_fails_eval_as_in_one_process(batch150, monkeypatch, capsys):
+    plans = sorted(batch150.glob("*.json"))
+    huge = plans[101]  # in the forked worker's share
+    edit_plan(huge, runtime_seconds=10**400)
+    use_workers(monkeypatch, 1)
+    serial = run(capsys, "eval", batch150)
+    use_workers(monkeypatch, 2)
+    assert run(capsys, "eval", batch150) == serial
+    assert serial == (
+        2, "", f"error: failed to load corpus:\n  {huge.name}: runtime_seconds must be finite, got inf\n"
+    )
+    assert serial[2] == library_eval_error(batch150)
+
+
 def spoil(batch, defect, monkeypatch):
     plans = sorted(batch.glob("*.json"))
     if defect == "duplicate_plan_id":

@@ -27,6 +27,7 @@ from qdaghash.errors import (
     ConfigMismatch,
     EmptyIndex,
     IndexFormatError,
+    InputError,
     NegativeRuntime,
     NonFiniteRuntime,
 )
@@ -84,9 +85,50 @@ def test_classification_is_monotone():
         previous = label
 
 
-def test_record_label_must_match_runtime():
-    with pytest.raises(ValueError):
+def test_record_label_is_classify_runtime_of_its_float_runtime():
+    for runtime in (0, 4.999, 5, 29.999, 30, 10**6, 2**53 + 1):
+        stored = record("p", 0, 0, runtime)
+        assert type(stored.runtime_seconds) is float
+        assert stored.runtime_seconds == float(runtime)
+        assert stored.label is classify_runtime(runtime)
+    with pytest.raises(TypeError):  # a record holds no label of its own
         IndexRecord("p", fp(0, 0), 1.0, ComplexityLabel.COMPLEX)
+
+
+# Plan ids with the empty string, lone surrogates, NUL and non-BMP characters.
+CONTRACT_PLAN_IDS = st.one_of(
+    st.just(""),
+    st.lists(
+        st.one_of(
+            st.characters(exclude_categories=()),
+            st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "\0", "\U0001f600"]),
+        ),
+        max_size=6,
+    ).map("".join),
+)
+# Runtimes as floats (NaN, infinities and negatives included) and as ints up
+# to 10**400, far past the float range.
+CONTRACT_RUNTIMES = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([2**1024 - 1, 2**1024, -(2**1024), 10**400, -(10**400)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONTRACT_PLAN_IDS, st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), CONTRACT_RUNTIMES)
+def test_a_record_is_refused_with_a_typed_error_or_round_trips(plan_id, edge, node, runtime):
+    try:
+        stored = IndexRecord.from_runtime(plan_id, fp(edge, node), runtime)
+    except InputError:
+        return
+    index = Index.new(FingerprintConfig())
+    index.add(stored)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "idx.qdx"
+        index.save(path)
+        loaded = Index.load(path)
+    assert loaded.records() == [stored]
 
 
 # -- add ---------------------------------------------------------------------------
@@ -445,6 +487,23 @@ def test_empty_index_round_trips(tmp_path):
     assert len(loaded) == 0 and loaded.header.approach == "ngram"
     loaded.add(record("q", 1, 1, 1.0, approach="ngram"))
     assert [r.plan_id for r in loaded.match(fp(1, 1, "ngram"))] == ["q"]
+
+
+def test_a_snapshot_keeps_its_rows_after_an_add(tmp_path):
+    index = Index.new(FingerprintConfig())
+    empty = index._columns()
+    index.add(record("a", 1, 1, 1.0))
+    one = index._columns()
+    index.add(record("b", 2, 2, 40.0))
+    assert (list(empty.ids), len(empty.edge)) == ([], 0)
+    assert (list(one.ids), len(one.edge)) == (["a"], 1)
+    path = tmp_path / "idx.qdx"
+    index.save(path)
+    loaded = Index.load(path)
+    at_load = loaded._columns()
+    loaded.add(record("c", 3, 3, 1.0))
+    assert (list(at_load.ids), len(at_load.edge)) == (["a", "b"], 2)
+    assert list(loaded._columns().ids) == ["a", "b", "c"]
 
 
 def test_replace_after_load_keeps_the_row(tmp_path):
