@@ -10,15 +10,24 @@ lowest field some carry slack.
 
 Every source field has its target field's width and sits one fixed shift
 above it, so an edge word is (w[u] << shift) + w[v], with w[n] node n's
-features packed into the target fields; the edge sum is then accumulated in
-one pass over the nodes, as (sum out_degree*w << shift) + sum in_degree*w.
+features packed into the target fields; the edge sum is then accumulated
+over the nodes, as (sum out_degree*w << shift) + sum in_degree*w.
+
+node_fields is the one walk over the nodes of a block of graphs: a uint64
+row per node. edge_signatures packs and saturates the target-field words of
+the whole block with np.minimum and shifts, and sums each graph's weighted
+words with np.add.reduceat; uint64 arrays wrap, which is the mod 2**64 sum.
+edge_signature is the block of one.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from .operators import operator_code
 from .qdag import QDag, StructuralProfile
-from .simhash import MASK64
 
 EDGE_LAYOUT_VERSION = "el1"
 
@@ -41,6 +50,12 @@ _OFFSETS = tuple(offset for _, _, offset in EDGE_FIELD_LAYOUT)
 # How far each source field sits above its target field.
 _SOURCE_SHIFT = _OFFSETS[0] - _OFFSETS[5]
 
+_TARGET_NAMES = tuple(name for name, _, _ in EDGE_FIELD_LAYOUT[5:])
+_TARGET_LIMITS = np.array([(1 << width) - 1 for width in _WIDTHS[5:]], np.uint64)
+_TARGET_OFFSETS = np.array(_OFFSETS[5:], np.uint64)
+_IN_DEGREE = _TARGET_NAMES.index("tgt_in_degree")
+_OUT_DEGREE = _TARGET_NAMES.index("tgt_out_degree")
+
 
 def pack_edge_word(values: tuple[int, ...]) -> int:
     """Pack ten field values (layout order) into one word, saturating."""
@@ -51,6 +66,34 @@ def pack_edge_word(values: tuple[int, ...]) -> int:
     return word
 
 
+def node_fields(graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]) -> np.ndarray:
+    """One uint64 row per node of the graphs, graph by graph in node order:
+    the node's target fields in layout order (operator code first), then its
+    depth, which the structured node signature weighs by."""
+    rows = [
+        (operator_code(node.operator_name), p.forward_order[n], p.backward_order[n],
+         p.in_degree[n], p.out_degree[n], p.depth[n])
+        for graph, p in zip(graphs, profiles)
+        for node in graph.nodes
+        for n in (node.id,)
+    ]
+    return np.array(rows, np.uint64)
+
+
+def edge_signatures(fields: np.ndarray, sizes: Sequence[int]) -> list[int]:
+    """edge_signature of each graph of a block, graph j being the next
+    sizes[j] rows of node_fields."""
+    target = fields[:, :len(_TARGET_NAMES)]
+    words = np.bitwise_or.reduce(np.minimum(target, _TARGET_LIMITS) << _TARGET_OFFSETS, axis=1)
+    starts = np.cumsum(sizes) - sizes
+    in_degree = target[:, _IN_DEGREE]
+    # An edgeless graph counts each node once as a source.
+    edgeless = np.add.reduceat(in_degree, starts) == 0
+    as_source = np.add.reduceat((target[:, _OUT_DEGREE] + np.repeat(edgeless, sizes)) * words, starts)
+    as_target = np.add.reduceat(in_degree * words, starts)
+    return ((as_source << _SOURCE_SHIFT) + as_target).tolist()
+
+
 def edge_signature(graph: QDag, profile: StructuralProfile) -> int:
     """64-bit structural signature of the graph's edge set.
 
@@ -58,12 +101,4 @@ def edge_signature(graph: QDag, profile: StructuralProfile) -> int:
     order. An edgeless graph contributes one word per node with the node's
     features in the source fields and the target fields zero.
     """
-    as_source = as_target = 0
-    for node in graph.nodes:
-        n = node.id
-        word = pack_edge_word((0, 0, 0, 0, 0, operator_code(node.operator_name),
-                               profile.forward_order[n], profile.backward_order[n],
-                               profile.in_degree[n], profile.out_degree[n]))
-        as_source += (profile.out_degree[n] if graph.edges else 1) * word
-        as_target += profile.in_degree[n] * word
-    return ((as_source << _SOURCE_SHIFT) + as_target) & MASK64
+    return edge_signatures(node_fields([graph], [profile]), [len(graph.nodes)])[0]

@@ -7,17 +7,22 @@ names are never consulted, so plans that differ only in identifier names
 fingerprint identically.
 
 node_signatures_structured signs a block of plans with one hashing pass
-over the canonical strings of all their nodes.
+over the canonical strings of all their nodes. It takes the operator codes
+and depths from the block's node_fields rows and renders each canonical
+string directly (_canonical_string), filling only the slots present in the
+property bag, with no NodeFeatureVector per node; extract_features reads
+its vector back from the same string.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .edges import node_fields
 from .operators import operator_code
 from .qdag import PlanNode, QDag, StructuralProfile
 from .simhash import simhash_runs, string_hash64, string_hashes64
@@ -44,6 +49,8 @@ FEATURE_SLOTS: tuple[str, ...] = (
 # Property keys fillable from a node's property bag (slot 0 comes from the
 # operator name instead).
 PROPERTY_KEYS: tuple[str, ...] = FEATURE_SLOTS[1:]
+_SLOT_OF_KEY = {key: slot for slot, key in enumerate(PROPERTY_KEYS, start=1)}
+_ABSENT = ["0"] * len(FEATURE_SLOTS)
 
 # Categorical encodings; 0 is the shared absent sentinel, real codes start at 1.
 CATEGORY_CODES: dict[str, dict[str, int]] = {
@@ -86,19 +93,28 @@ def _slot_value(slot: str, raw: object) -> int:
     if isinstance(raw, float) and not math.isfinite(raw):  # JSON NaN, Infinity
         return 0
     value = int(raw)
-    return value if value >= 0 else 0
+    if value < 0:
+        return 0
+    return bucket_row_width(value) if slot == "row_width" else value
+
+
+def _canonical_string(code: int, properties: Mapping[str, object]) -> str:
+    """The "v0|v1|...|v12" rendering of a node's feature vector, built
+    directly: only the slots present in the property bag are filled, the
+    rest keep the absent value 0."""
+    parts = _ABSENT.copy()
+    parts[0] = str(code)
+    for key, raw in properties.items():
+        slot = _SLOT_OF_KEY.get(key)
+        if slot is not None:
+            parts[slot] = str(_slot_value(key, raw))
+    return "|".join(parts)
 
 
 def extract_features(node: PlanNode) -> NodeFeatureVector:
     """Fill the schema slots from the node's property bag (absent -> 0)."""
-    values = [operator_code(node.operator_name)]
-    for key in PROPERTY_KEYS:
-        raw = node.properties.get(key)
-        value = 0 if raw is None else _slot_value(key, raw)
-        if key == "row_width":
-            value = bucket_row_width(value)
-        values.append(value)
-    return NodeFeatureVector(node.id, tuple(values))
+    rendered = _canonical_string(operator_code(node.operator_name), node.properties)
+    return NodeFeatureVector(node.id, tuple(map(int, rendered.split("|"))))
 
 
 def node_hash_structured(fv: NodeFeatureVector) -> int:
@@ -108,14 +124,15 @@ def node_hash_structured(fv: NodeFeatureVector) -> int:
 
 def node_signature_structured(graph: QDag, profile: StructuralProfile) -> int:
     """N(G): SimHash over all per-node feature hashes, each weighted by its depth."""
-    return node_signatures_structured([graph], [profile])[0]
+    return node_signatures_structured([graph], node_fields([graph], [profile]))[0]
 
 
-def node_signatures_structured(
-    graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]
-) -> list[int]:
-    """node_signature_structured of each graph and its profile."""
-    nodes = [(node, profile) for graph, profile in zip(graphs, profiles) for node in graph.nodes]
-    hashes = string_hashes64([extract_features(node).canonical_string() for node, _ in nodes])
-    depths = np.fromiter((profile.depth[node.id] for node, profile in nodes), np.int64, len(nodes))
+def node_signatures_structured(graphs: Sequence[QDag], fields: np.ndarray) -> list[int]:
+    """node_signature_structured of each graph, from the block's node_fields rows."""
+    nodes = [node for graph in graphs for node in graph.nodes]
+    hashes = string_hashes64([
+        _canonical_string(code, node.properties)
+        for code, node in zip(fields[:, 0].tolist(), nodes)
+    ])
+    depths = fields[:, -1].astype(np.int64)
     return simhash_runs(hashes, [len(graph.nodes) for graph in graphs], depths)

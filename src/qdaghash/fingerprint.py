@@ -5,9 +5,13 @@ either the structured (feature-engineered, depth-weighted) or the n-gram
 (fact-shingling, uniform-weight) algorithm.
 
 fingerprint_documents takes plans in blocks of about BLOCK_CHARS fact
-characters, hashes the nodes of a whole block in one pass and tallies every
-plan's SimHash from one bit matrix; only a block's plans are held at once.
-fingerprint_document is the block of one.
+characters; only a block's plans are held at once. A block is profiled plan
+by plan, then its nodes are walked once (edges.node_fields) into flat
+per-node columns: operator code, the edge fields and depth. The edge
+signatures of the whole block come from those columns in one numpy pass, and
+so do the structured node hashes' codes and weights; the node hashes of a
+block are computed in one pass and every plan's SimHash is tallied from one
+bit matrix. fingerprint_document is the block of one.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .edges import edge_signature
+from .edges import edge_signatures, node_fields
 from .features import node_signatures_structured
 from .ingest import PlanDocument
 from .ngrams import NGramConfig, node_signatures_ngram
@@ -79,9 +83,10 @@ BLOCK_CHARS = 4096
 
 def _fingerprint_block(graphs: Sequence[QDag], config: FingerprintConfig) -> list[Fingerprint128]:
     profiles = [structural_profile(graph) for graph in graphs]
-    edge_sigs = [edge_signature(graph, profile) for graph, profile in zip(graphs, profiles)]
+    fields = node_fields(graphs, profiles)
+    edge_sigs = edge_signatures(fields, [len(graph.nodes) for graph in graphs])
     if config.approach == APPROACH_STRUCTURED:
-        node_sigs = node_signatures_structured(graphs, profiles)
+        node_sigs = node_signatures_structured(graphs, fields)
     else:
         node_sigs = node_signatures_ngram(graphs, config.ngram)
     return [Fingerprint128(e, n, config.approach) for e, n in zip(edge_sigs, node_sigs)]

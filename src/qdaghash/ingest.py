@@ -63,9 +63,12 @@ def check_plan_id(plan_id: object) -> None:
         raise SchemaViolation("plan_id", "must not contain a lone surrogate")
 
 
-def check_runtime(runtime_seconds: float) -> float:
-    """runtime_seconds as a finite, non-negative float; an int past the float
-    range is not finite."""
+def check_runtime(runtime_seconds: object) -> float:
+    """runtime_seconds as a finite, non-negative float. Only an int (not a
+    bool) or a float, numpy's float64 included, is a number; an int past the
+    float range is not finite."""
+    if isinstance(runtime_seconds, bool) or not isinstance(runtime_seconds, (int, float)):
+        raise SchemaViolation("runtime_seconds", "must be a number")
     try:
         value = float(runtime_seconds)
     except OverflowError:
@@ -133,12 +136,6 @@ def parse_plan_json(data: bytes | str) -> PlanDocument:
         raise SchemaViolation("plan_id", "required")
     check_plan_id(plan_id)
 
-    runtime = obj.get("runtime_seconds")
-    if runtime is not None and (
-        isinstance(runtime, bool) or not isinstance(runtime, (int, float))
-    ):
-        raise SchemaViolation("runtime_seconds", "must be a number")
-
     raw_nodes = obj.get("nodes")
     if not isinstance(raw_nodes, list):
         raise SchemaViolation("nodes", "required array")
@@ -158,7 +155,7 @@ def parse_plan_json(data: bytes | str) -> PlanDocument:
         edges.append((pair[0], pair[1]))
 
     graph = QDag(plan_id, nodes, edges)
-    return PlanDocument(plan_id, runtime, graph)
+    return PlanDocument(plan_id, obj.get("runtime_seconds"), graph)
 
 
 def _parse_json_node(item: object, i: int) -> PlanNode:

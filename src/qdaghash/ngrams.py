@@ -3,7 +3,8 @@
 Each node's fact line is treated as a character stream: normalize, slide a
 length-n window, hash every gram, then combine the grams of all nodes with
 uniform-weight SimHash. Normalizing strips expression ids and collapses
-whitespace, unless turned off, and keeps case (lower=0 in the stamp); grams
+whitespace, unless turned off, and keeps case (lower=0 in the stamp); it
+uses no regex for whitespace and none for ids in a fact without "#"; grams
 keep their multiplicity unless dedupe asks for per-node set semantics.
 
 A plan's grams are hashed in one numpy pass, with no loop over grams: the
@@ -29,7 +30,6 @@ from .simhash import simhash_runs
 
 # Per-instance expression ids ("x#12") would destroy cross-query similarity.
 _ID_TOKEN = re.compile(r"#\d+")
-_WS_RUN = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,17 @@ class NGramConfig:
 
 
 def normalize_fact(fact: str, cfg: NGramConfig) -> str:
-    if cfg.strip_ids:
+    """The fact with "#<digits>" ids removed and each whitespace run made one
+    space, trimmed at both ends, as cfg asks.
+
+    str.split() splits at exactly the characters the regex \\s matches, so
+    the join equals re.sub(r"\\s+", " ", fact).strip(); the id regex runs
+    only on a fact that holds a "#".
+    """
+    if cfg.strip_ids and "#" in fact:
         fact = _ID_TOKEN.sub("", fact)
     if cfg.collapse_whitespace:
-        fact = _WS_RUN.sub(" ", fact).strip()
+        fact = " ".join(fact.split())
     return fact
 
 

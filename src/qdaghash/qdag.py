@@ -106,62 +106,72 @@ def structural_profile(graph: QDag) -> StructuralProfile:
     """Compute all five structural maps for a validated graph.
 
     Deterministic regardless of node/edge list order: ties in the
-    topological sorts break toward the smaller node id.
+    topological sorts break toward the smaller node id. One loop over the
+    edges gives the degrees and the predecessor lists; the backward sort
+    runs over those lists (the successors of the edge-reversed graph), and
+    depth is taken in the forward order, which is the order of its keys.
     """
-    ids = set(graph.node_ids())
     forward = graph._forward_order
-    backward = _topological_order(ids, [(v, u) for u, v in graph.edges])
-
-    in_degree = {i: 0 for i in ids}
-    out_degree = {i: 0 for i in ids}
-    preds: dict[int, list[int]] = defaultdict(list)
+    in_degree = dict.fromkeys(forward, 0)
+    out_degree = dict.fromkeys(forward, 0)
+    preds: dict[int, list[int]] = {i: [] for i in forward}
     for u, v in graph.edges:
         out_degree[u] += 1
         in_degree[v] += 1
         preds[v].append(u)
+    backward = _topological_order(forward, (), preds, dict(out_degree))
 
     depth: dict[int, int] = {}
-    for node_id in sorted(ids, key=forward.__getitem__):
-        incoming = preds.get(node_id)
+    for node_id in forward:
+        incoming = preds[node_id]
         depth[node_id] = 1 + max(depth[p] for p in incoming) if incoming else 1
 
     return StructuralProfile(forward, backward, in_degree, out_degree, depth)
 
 
 def _topological_order(
-    ids: set[int], edges: Iterable[tuple[int, int]]
+    ids: Iterable[int],
+    edges: Iterable[tuple[int, int]],
+    successors: Mapping[int, list[int]] | None = None,
+    in_degree: dict[int, int] | None = None,
 ) -> dict[int, int]:
-    """Kahn's algorithm with a min-heap on node id for the ready set."""
-    edges = list(edges)
-    in_degree = {i: 0 for i in ids}
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        adjacency[u].append(v)
-        in_degree[v] += 1
+    """Kahn's algorithm with a min-heap on node id for the ready set.
 
-    ready = [i for i in ids if in_degree[i] == 0]
+    Returns node -> rank, with the nodes in rank order. A caller that has
+    the graph's successor lists and in-degrees (one entry per node in ids)
+    passes them instead of edges; in_degree is then used up.
+    """
+    if successors is None:
+        in_degree = dict.fromkeys(ids, 0)
+        successors = {i: [] for i in in_degree}
+        for u, v in edges:
+            successors[u].append(v)
+            in_degree[v] += 1
+
+    ready = [i for i, d in in_degree.items() if d == 0]
     heapq.heapify(ready)
     order: dict[int, int] = {}
     while ready:
         node = heapq.heappop(ready)
         order[node] = len(order)
-        for succ in adjacency[node]:
+        for succ in successors[node]:
             in_degree[succ] -= 1
             if in_degree[succ] == 0:
                 heapq.heappush(ready, succ)
 
-    if len(order) < len(ids):
-        remaining = {i for i in ids if i not in order}
-        raise CycleDetected(_find_cycle(remaining, edges))
+    if len(order) < len(in_degree):
+        remaining = {i for i in in_degree if i not in order}
+        raise CycleDetected(_find_cycle(remaining, successors))
     return order
 
 
-def _find_cycle(remaining: set[int], edges: Iterable[tuple[int, int]]) -> list[int]:
+def _find_cycle(remaining: set[int], successors: Mapping[int, list[int]]) -> list[int]:
     """One cycle among the nodes Kahn's algorithm could not order."""
     preds: dict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        if u in remaining and v in remaining:
-            preds[v].append(u)
+    for u in remaining:
+        for v in successors[u]:
+            if v in remaining:
+                preds[v].append(u)
     # Every remaining node has a predecessor among the remaining nodes, so
     # walking predecessors must revisit some node; the revisited segment,
     # reversed, is a cycle in edge direction.

@@ -275,9 +275,24 @@ def test_runtime_past_the_float_range_exits_2_and_keeps_the_index(tmp_path, plan
         assert index_path.read_bytes() == before
 
 
+@pytest.mark.parametrize("runtime", ["5", True, [1]])
+def test_runtime_that_is_not_a_number_exits_2(tmp_path, capsys, runtime):
+    plan = tmp_path / "text.json"
+    plan.write_text(json.dumps({
+        "plan_id": "text", "runtime_seconds": runtime,
+        "nodes": [{"id": 0, "operator": "Scan", "fact": "Scan t"}], "edges": [],
+    }))
+    for argv in (("fingerprint", plan), ("index", "add", plan, "--index", tmp_path / "runs.qdx")):
+        assert run_cli(*argv) == 2
+        assert f"{plan}: schema violation on field 'runtime_seconds': must be a number" in (
+            capsys.readouterr().err
+        )
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("runtime_seconds", 10**400, "runtime_seconds must be finite, got inf"),
     ("plan_id", "q\ud800", "schema violation on field 'plan_id': must not contain a lone surrogate"),
+    ("runtime_seconds", "5", "runtime_seconds must be a number"),
 ])
 def test_v1_record_outside_the_record_contract_exits_1_at_load(
     tmp_path, plan_file, capsys, key, value, message

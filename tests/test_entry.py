@@ -79,6 +79,21 @@ def test_cli_entry_sets_one_openblas_thread_unless_the_user_chose(
     assert out == {"code": 0, "at_numpy_import": [expected]}
 
 
+def test_the_cli_runs_under_cprofile(tmp_path):
+    # A start-up or teardown shortcut, such as leaving by os._exit, would
+    # drop the profile that cProfile writes at exit.
+    plan = tmp_path / "demo.plan"
+    plan.write_text("Project [a]\n  Scan t1\n")
+    profile = tmp_path / "cli.prof"
+    command = ["-m", "qdaghash", "fingerprint", str(plan), "--json"]
+    plain = subprocess.run([sys.executable, *command], capture_output=True, text=True, timeout=60)
+    profiled = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile), *command],
+                              capture_output=True, text=True, timeout=60)
+    assert profiled.returncode == plain.returncode == 0, profiled.stderr
+    assert profiled.stdout == plain.stdout and json.loads(profiled.stdout)["edge_fp"]
+    assert profile.stat().st_size > 0
+
+
 def test_console_script_is_the_module_entry_point():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     module, _, name = scripts["qdaghash"].partition(":")

@@ -15,6 +15,7 @@ import threading
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import save_v1
 from index_reference import reference_ids
@@ -30,6 +31,7 @@ from qdaghash.errors import (
     InputError,
     NegativeRuntime,
     NonFiniteRuntime,
+    SchemaViolation,
 )
 from qdaghash.fingerprint import Fingerprint128, FingerprintConfig
 from qdaghash.index import (
@@ -41,6 +43,8 @@ from qdaghash.index import (
     classify_runtime,
     require_compatible,
 )
+from qdaghash.ingest import PlanDocument
+from qdaghash.qdag import PlanNode, QDag
 
 
 def fp(edge, node, approach="structured"):
@@ -93,6 +97,30 @@ def test_record_label_is_classify_runtime_of_its_float_runtime():
         assert stored.label is classify_runtime(runtime)
     with pytest.raises(TypeError):  # a record holds no label of its own
         IndexRecord("p", fp(0, 0), 1.0, ComplexityLabel.COMPLEX)
+
+
+@pytest.mark.parametrize("runtime", ["5", b"7", True, False, "abc", [1.0], 2j, np.int64(3)])
+def test_a_runtime_that_is_not_a_number_is_refused(runtime):
+    graph = QDag("p", [PlanNode(0, "Scan", "Scan t")])
+    for make in (
+        lambda: IndexRecord.from_runtime("p", fp(0, 0), runtime),
+        lambda: PlanDocument("p", runtime, graph),
+        lambda: classify_runtime(runtime),
+    ):
+        with pytest.raises(SchemaViolation, match="'runtime_seconds': must be a number"):
+            make()
+    with pytest.raises(SchemaViolation):
+        IndexRecord.from_runtime("p", fp(0, 0), None)
+
+
+def test_an_int_a_float_and_a_numpy_float_are_runtimes():
+    graph = QDag("p", [PlanNode(0, "Scan", "Scan t")])
+    for runtime in (7, 7.0, np.float64(7.0)):
+        for stored in (
+            IndexRecord.from_runtime("p", fp(0, 0), runtime).runtime_seconds,
+            PlanDocument("p", runtime, graph).runtime_seconds,
+        ):
+            assert type(stored) is float and stored == 7.0
 
 
 # Plan ids with the empty string, lone surrogates, NUL and non-BMP characters.

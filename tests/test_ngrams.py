@@ -1,6 +1,8 @@
 """N-gram shingling, fact normalization, and the uniform-weight signature."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,48 @@ def test_keep_ids_flag():
 def test_whitespace_runs_collapse():
     cfg = NGramConfig(n=3)
     assert ngrams("Scan   a    b", cfg) == ngrams("Scan a b", cfg)
+
+
+NORMALIZE_CONFIGS = [
+    NGramConfig(strip_ids=strip, collapse_whitespace=collapse)
+    for strip in (True, False) for collapse in (True, False)
+]
+
+
+def normalize_reference(fact, cfg):
+    """normalize_fact as two regex substitutions."""
+    if cfg.strip_ids:
+        fact = re.sub(r"#\d+", "", fact)
+    if cfg.collapse_whitespace:
+        fact = re.sub(r"\s+", " ", fact).strip()
+    return fact
+
+
+def test_normalize_matches_the_regexes_on_every_code_point():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    whitespace = re.findall(r"\s", every)
+    assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000"} <= set(whitespace)
+    # Each code point alone between letters, doubled, and at both ends.
+    facts = ["a".join(every), "ab".join(c * 2 for c in every), f"{every}x{every}"]
+    facts += [f"{c}Scan{c}t#1{c}" for c in whitespace]
+    for cfg in NORMALIZE_CONFIGS:
+        for fact in facts:
+            assert normalize_fact(fact, cfg) == normalize_reference(fact, cfg)
+
+
+@pytest.mark.parametrize("fact", [
+    "Filter (x#12 > 5)", "#7 Scan", "Scan a##3#b#", "Project x#\u0663\u0664 y#", "Sort #12#34 \x85 #",
+])
+def test_normalize_matches_the_regexes_on_expression_ids(fact):
+    for cfg in NORMALIZE_CONFIGS:
+        assert normalize_fact(fact, cfg) == normalize_reference(fact, cfg)
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet=st.sampled_from("ab#17 \t\n\x1f\x85\xa0\u3000\u0663")))
+def test_normalize_matches_the_regexes_on_drawn_facts(fact):
+    for cfg in NORMALIZE_CONFIGS:
+        assert normalize_fact(fact, cfg) == normalize_reference(fact, cfg)
 
 
 def test_empty_after_normalization_rejected():
