@@ -13,13 +13,11 @@ submodule that defines it.
 """
 
 import importlib
-import sys
-import types
 
 from . import errors
 
 _EXPORTS = {
-    "edges": ("EDGE_FIELD_LAYOUT", "EDGE_LAYOUT_VERSION", "edge_signature", "pack_edge_word"),
+    "edges": ("EDGE_FIELD_LAYOUT", "EDGE_LAYOUT_VERSION"),
     "evaluate": ("DistanceBucket", "EvalReport", "eval_leave_one_out", "render_report_text"),
     "features": (
         "FEATURE_SCHEMA_VERSION",
@@ -27,8 +25,6 @@ _EXPORTS = {
         "NodeFeatureVector",
         "bucket_row_width",
         "extract_features",
-        "node_hash_structured",
-        "node_signature_structured",
     ),
     "fingerprint": (
         "APPROACH_NGRAM",
@@ -59,20 +55,12 @@ _EXPORTS = {
         "render_plan_json",
         "resolve_reuse_references",
     ),
-    "ngrams": (
-        "NGramConfig",
-        "ngrams",
-        "node_hashes_ngram",
-        "node_signature_ngram",
-        "normalize_fact",
-    ),
+    "ngrams": ("NGramConfig", "normalize_fact"),
     "operators": ("REGISTRY_VERSION", "operator_code"),
     "qdag": ("PlanNode", "QDag", "StructuralProfile", "structural_profile"),
-    "simhash": ("HASH_ALGORITHM_ID", "hamming", "simhash", "string_hash64"),
+    "simhash": ("HASH_ALGORITHM_ID", "hamming", "string_hash64"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-# Exported functions named like the submodule that defines them.
-_SHADOWED = _MODULE_OF.keys() & _EXPORTS.keys()
 
 __all__ = ["errors", *_MODULE_OF]
 __version__ = "0.1.0"
@@ -89,15 +77,3 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_MODULE_OF})
-
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value: object) -> None:
-        # Importing a submodule binds it on the package; for the shadowed
-        # names that binding is skipped, so qdaghash.simhash and
-        # qdaghash.ngrams stay the exported functions.
-        if not (name in _SHADOWED and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

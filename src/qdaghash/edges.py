@@ -17,7 +17,7 @@ node_fields is the one walk over the nodes of a block of graphs: a uint64
 row per node. edge_signatures packs and saturates the target-field words of
 the whole block with np.minimum and shifts, and sums each graph's weighted
 words with np.add.reduceat; uint64 arrays wrap, which is the mod 2**64 sum.
-edge_signature is the block of one.
+A single graph is a block of one.
 """
 
 from __future__ import annotations
@@ -57,15 +57,6 @@ _IN_DEGREE = _TARGET_NAMES.index("tgt_in_degree")
 _OUT_DEGREE = _TARGET_NAMES.index("tgt_out_degree")
 
 
-def pack_edge_word(values: tuple[int, ...]) -> int:
-    """Pack ten field values (layout order) into one word, saturating."""
-    word = 0
-    for value, width, offset in zip(values, _WIDTHS, _OFFSETS):
-        limit = (1 << width) - 1
-        word |= (value if value < limit else limit) << offset
-    return word
-
-
 def node_fields(graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]) -> np.ndarray:
     """One uint64 row per node of the graphs, graph by graph in node order:
     the node's target fields in layout order (operator code first), then its
@@ -81,8 +72,13 @@ def node_fields(graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]) -
 
 
 def edge_signatures(fields: np.ndarray, sizes: Sequence[int]) -> list[int]:
-    """edge_signature of each graph of a block, graph j being the next
-    sizes[j] rows of node_fields."""
+    """64-bit structural signature of each graph's edge set, graph j being
+    the next sizes[j] rows of node_fields.
+
+    Commutative accumulation makes each result independent of edge-list
+    order. An edgeless graph contributes one word per node with the node's
+    features in the source fields and the target fields zero.
+    """
     target = fields[:, :len(_TARGET_NAMES)]
     words = np.bitwise_or.reduce(np.minimum(target, _TARGET_LIMITS) << _TARGET_OFFSETS, axis=1)
     starts = np.cumsum(sizes) - sizes
@@ -92,13 +88,3 @@ def edge_signatures(fields: np.ndarray, sizes: Sequence[int]) -> list[int]:
     as_source = np.add.reduceat((target[:, _OUT_DEGREE] + np.repeat(edgeless, sizes)) * words, starts)
     as_target = np.add.reduceat(in_degree * words, starts)
     return ((as_source << _SOURCE_SHIFT) + as_target).tolist()
-
-
-def edge_signature(graph: QDag, profile: StructuralProfile) -> int:
-    """64-bit structural signature of the graph's edge set.
-
-    Commutative accumulation makes the result independent of edge-list
-    order. An edgeless graph contributes one word per node with the node's
-    features in the source fields and the target fields zero.
-    """
-    return edge_signatures(node_fields([graph], [profile]), [len(graph.nodes)])[0]

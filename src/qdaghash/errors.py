@@ -144,11 +144,6 @@ class EmptyFact(InputError):
         super().__init__(f"fact normalizes to the empty string: {fact!r}")
 
 
-class EmptyInput(InputError):
-    def __init__(self, what: str = "simhash input"):
-        super().__init__(f"{what} must not be empty")
-
-
 class NegativeRuntime(InputError):
     def __init__(self, value: float):
         super().__init__(f"runtime_seconds must be >= 0, got {value}")

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorpusTooSmall, MissingRuntime
+from .errors import ConfigMismatch, CorpusTooSmall, MissingRuntime
 from .fingerprint import FingerprintConfig, fingerprint_documents
 from .index import ComplexityLabel, IndexRecord, _Columns, _classify_column, _two_step
 from .ingest import Corpus
@@ -102,12 +102,18 @@ def score_leave_one_out(records: Sequence[IndexRecord], k: int = 10) -> EvalRepo
     """The leave-one-out report over fingerprinted records of one approach,
     in corpus order.
 
-    Raises CorpusTooSmall below two records, then ValueError for k < 1.
+    Raises CorpusTooSmall below two records, then ValueError for k < 1,
+    then ConfigMismatch for the first record whose approach is not the
+    first record's.
     """
     if len(records) < 2:
         raise CorpusTooSmall(len(records), 2)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    approach = records[0].fingerprint.approach
+    for record in records:
+        if record.fingerprint.approach != approach:
+            raise ConfigMismatch("approach", approach, record.fingerprint.approach)
 
     # The report does not depend on the order of the folds, and _two_step
     # sorts each block's candidates by plan_id: presorted, that is linear.
@@ -135,7 +141,7 @@ def score_leave_one_out(records: Sequence[IndexRecord], k: int = 10) -> EvalRepo
     simple_as_heavier, heavy_as_simple = int(confusion[0, 1:].sum()), int(confusion[1:, 0].sum())
 
     return EvalReport(
-        approach=records[0].fingerprint.approach,
+        approach=approach,
         corpus_size=total,
         k=k,
         accuracy=int(confusion.trace()) / total,

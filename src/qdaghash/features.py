@@ -22,10 +22,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .edges import node_fields
 from .operators import operator_code
-from .qdag import PlanNode, QDag, StructuralProfile
-from .simhash import simhash_runs, string_hash64, string_hashes64
+from .qdag import PlanNode, QDag
+from .simhash import simhash_runs, string_hashes64
 
 FEATURE_SCHEMA_VERSION = "fs1"
 
@@ -74,9 +73,6 @@ class NodeFeatureVector:
                 f"{len(FEATURE_SLOTS)}"
             )
 
-    def canonical_string(self) -> str:
-        return "|".join(map(str, self.values))
-
 
 def bucket_row_width(width: int) -> int:
     """Round a row width up to the next power of two (0 stays 0)."""
@@ -117,18 +113,9 @@ def extract_features(node: PlanNode) -> NodeFeatureVector:
     return NodeFeatureVector(node.id, tuple(map(int, rendered.split("|"))))
 
 
-def node_hash_structured(fv: NodeFeatureVector) -> int:
-    """64-bit hash of the vector's canonical "v0|v1|...|v12" rendering."""
-    return string_hash64(fv.canonical_string())
-
-
-def node_signature_structured(graph: QDag, profile: StructuralProfile) -> int:
-    """N(G): SimHash over all per-node feature hashes, each weighted by its depth."""
-    return node_signatures_structured([graph], node_fields([graph], [profile]))[0]
-
-
 def node_signatures_structured(graphs: Sequence[QDag], fields: np.ndarray) -> list[int]:
-    """node_signature_structured of each graph, from the block's node_fields rows."""
+    """N(G) of each graph: SimHash over its per-node feature hashes, each
+    weighted by the node's depth, from the block's node_fields rows."""
     nodes = [node for graph in graphs for node in graph.nodes]
     hashes = string_hashes64([
         _canonical_string(code, node.properties)

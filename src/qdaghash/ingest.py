@@ -409,7 +409,8 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
     references expand first, over one predecessor map, so copying is
     linear in the expanded graph; its edges are listed by consumer, in node
     order. Chains that loop raise ReferenceCycle, and a result larger than
-    the expansion budget raises ExpansionTooLarge.
+    the expansion budget raises ExpansionTooLarge, sized before any node
+    is copied.
     """
     graph = doc.graph
     reuse_ids = [n.id for n in graph.nodes if n.operator_name in REUSE_OPERATORS]
@@ -434,13 +435,20 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
         preds[v].append(u)
         if u in succs:
             succs[u].append(v)
-    order = _resolution_order(preds, reuse_ids, targets)
-
-    next_id = max(nodes) + 1
     budget = max(MAX_EXPANDED_NODES, EXPANSION_FACTOR * len(nodes))
+    order, copy_size = _resolution_order(preds, reuse_ids, targets, budget)
+
+    # The copy loop's checks, in its order, before it copies anything.
+    size = len(nodes)
     for rid in order:
         if preds[rid]:
             raise UnresolvedReference(rid, "reuse node must not have incoming edges")
+        if size - 1 + copy_size[rid] > budget:
+            raise ExpansionTooLarge(len(graph.nodes), budget)
+        size += copy_size[rid] - 1
+
+    next_id = max(nodes) + 1
+    for rid in order:
         # A reuse of a reuse node copies the first target that is not one:
         # every reuse node feeding it expanded earlier, so its subtree is
         # final and matches, id for id, the copy the inner node made.
@@ -448,8 +456,6 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
         while target in targets:
             target = targets[target]
         closure = sorted(_feeding_closure(target, preds))
-        if len(nodes) - 1 + len(closure) > budget:
-            raise ExpansionTooLarge(len(graph.nodes), budget)
         fresh = {old: next_id + i for i, old in enumerate(closure)}
         next_id += len(closure)
         for old in closure:
@@ -480,21 +486,31 @@ def _resolution_order(
     preds: dict[int, list[int]],
     reuse_ids: list[int],
     targets: dict[int, int],
-) -> list[int]:
-    """Order reuse nodes so inner references expand before outer ones."""
+    budget: int,
+) -> tuple[list[int], dict[int, int]]:
+    """Order reuse nodes so inner references expand before outer ones, and
+    size each one's copy: the plain nodes of its target's closure plus the
+    copy of each reuse node in that closure, capped one past the budget,
+    which a copy of that size already fails."""
     reuse_set = set(reuse_ids)
-    dep_edges = []
+    inner_of: dict[int, set[int]] = {}
+    copy_size: dict[int, int] = {}  # plain nodes first, then the whole copy
     for rid in reuse_ids:
-        inner = _feeding_closure(targets[rid], preds) & reuse_set
-        for other in inner:
-            if other == rid:
-                raise ReferenceCycle([rid, rid])
-            dep_edges.append((other, rid))  # other expands before rid
+        closure = _feeding_closure(targets[rid], preds)
+        inner = inner_of[rid] = closure & reuse_set
+        if rid in inner:
+            raise ReferenceCycle([rid, rid])
+        copy_size[rid] = len(closure) - len(inner)
+    # Each inner reuse node expands before the reuse node whose copy holds it.
+    dep_edges = [(other, rid) for rid, inner in inner_of.items() for other in inner]
     try:
         ranks = _topological_order(reuse_set, dep_edges)
     except CycleDetected as exc:
         raise ReferenceCycle(exc.cycle) from exc
-    return sorted(reuse_ids, key=ranks.__getitem__)
+    order = sorted(reuse_ids, key=ranks.__getitem__)
+    for rid in order:
+        copy_size[rid] = min(budget + 1, copy_size[rid] + sum(copy_size[r] for r in inner_of[rid]))
+    return order, copy_size
 
 
 # ---------------------------------------------------------------------------

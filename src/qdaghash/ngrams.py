@@ -25,7 +25,7 @@ import numpy as np
 
 from .cityhash import cityhash64_spans
 from .errors import EmptyFact
-from .qdag import PlanNode, QDag
+from .qdag import QDag
 from .simhash import simhash_runs
 
 # Per-instance expression ids ("x#12") would destroy cross-query similarity.
@@ -132,18 +132,9 @@ def _gram_hashes(facts: Sequence[str], cfg: NGramConfig) -> tuple[np.ndarray, np
     return hashes, grams
 
 
-def node_hashes_ngram(node: PlanNode, cfg: NGramConfig | None = None) -> list[int]:
-    """64-bit hash per gram of the node's fact (multiset unless dedupe)."""
-    return _gram_hashes([node.fact], cfg or NGramConfig())[0].tolist()
-
-
-def node_signature_ngram(graph: QDag, cfg: NGramConfig | None = None) -> int:
-    """N(G): uniform-weight SimHash over every gram hash of every node."""
-    return node_signatures_ngram([graph], cfg or NGramConfig())[0]
-
-
 def node_signatures_ngram(graphs: Sequence[QDag], cfg: NGramConfig) -> list[int]:
-    """node_signature_ngram of each graph."""
+    """N(G) of each graph: uniform-weight SimHash over every gram hash of
+    every node."""
     hashes, grams = _gram_hashes([node.fact for graph in graphs for node in graph.nodes], cfg)
     nodes = np.array([len(graph.nodes) for graph in graphs])
     return simhash_runs(hashes, np.add.reduceat(grams, np.cumsum(nodes) - nodes))

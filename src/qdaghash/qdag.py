@@ -63,9 +63,6 @@ class QDag:
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in edges))
         object.__setattr__(self, "_forward_order", _validated_order(self))
 
-    def node_ids(self) -> list[int]:
-        return [n.id for n in self.nodes]
-
     def node_by_id(self) -> dict[int, PlanNode]:
         return {n.id: n for n in self.nodes}
 

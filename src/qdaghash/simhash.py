@@ -14,21 +14,16 @@ from typing import Sequence
 import numpy as np
 
 from .cityhash import HASH_ALGORITHM_ID, cityhash64, cityhash64_spans
-from .errors import EmptyInput
 
 __all__ = [
     "HASH_ALGORITHM_ID",
     "hamming",
-    "simhash",
     "simhash_runs",
     "string_hash64",
     "string_hashes64",
 ]
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# Keeps every int64 tally exact for fewer than 2**31 inputs.
-_WEIGHT_LIMIT = 1 << 31
 
 
 def string_hash64(data: str | bytes) -> int:
@@ -45,50 +40,17 @@ def string_hashes64(texts: Sequence[str]) -> np.ndarray:
     return cityhash64_spans(b"".join(encoded), np.cumsum(lengths) - lengths, lengths)
 
 
-def simhash(
-    hashes: Sequence[int] | np.ndarray, weights: Sequence[int] | None = None
-) -> int:
-    """Combine 64-bit hashes, hashes[i] voting weights[i] (default 1), into one.
-
-    Bit i of the result is 1 iff the weighted tally over position i is
-    strictly positive. The result is invariant under permutation of the
-    input and under uniform positive scaling of the weights. Hashes must be
-    ints in [0, 2**64) or a one-dimensional uint64 array; weights must be
-    ints in [1, 2**31), one per hash.
-    """
-    n = len(hashes)
-    if n == 0:
-        raise EmptyInput("simhash input")
-    if isinstance(hashes, np.ndarray):
-        # The dtype bounds every value, so no per-item check is needed.
-        if hashes.dtype != np.uint64 or hashes.ndim != 1:
-            raise ValueError(f"hash array must be 1-D uint64, got {hashes.ndim}-D {hashes.dtype}")
-        arr = hashes
-    else:
-        # np.fromiter would truncate a float and take a bool as 0 or 1.
-        if not set(map(type, hashes)) <= {int}:
-            raise ValueError("hash must be an int")
-        try:
-            arr = np.fromiter(hashes, dtype=np.uint64, count=n)
-        except OverflowError as exc:
-            raise ValueError(f"hash out of 64-bit range: {exc}") from exc
-    votes = None
-    if weights is not None:
-        if len(weights) != n:
-            raise ValueError(f"{len(weights)} weights for {n} hashes")
-        if not all(type(w) is int and 1 <= w < _WEIGHT_LIMIT for w in weights):
-            raise ValueError("weight must be an int in [1, 2**31)")
-        votes = np.fromiter(weights, dtype=np.int64, count=n)
-    return simhash_runs(arr, [n], votes)[0]
-
-
 def simhash_runs(
     hashes: np.ndarray, sizes: Sequence[int], weights: np.ndarray | None = None
 ) -> list[int]:
-    """simhash of each run of consecutive hashes, run j being the next sizes[j].
+    """One SimHash word per run of consecutive hashes, run j being the next
+    sizes[j], hashes[i] voting weights[i] (default 1). A run's word is
+    invariant under permutation of the run and under uniform positive
+    scaling of its weights.
 
     Unchecked: hashes is a 1-D uint64 array, every size is at least 1, and
-    weights, if given, is an int64 array of values in [1, 2**31).
+    weights, if given, is an int64 array of values in [1, 2**31), which
+    keeps every int64 tally exact for fewer than 2**31 inputs.
     """
     # (n, 64) matrix; column i holds bit i of each hash.
     bits = np.unpackbits(

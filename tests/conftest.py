@@ -130,22 +130,24 @@ def nested_reuse_plan(levels: int, padding: int = 0) -> dict:
     return {"plan_id": "nested", "runtime_seconds": 1.0, "nodes": nodes, "edges": edges}
 
 
-def wide_reuse_plan(reuses: int) -> dict:
-    """JSON plan object of 4 + 2*reuses nodes that expands to 4 + 5*reuses.
+def wide_reuse_plan(reuses: int, chain_length: int = 4) -> dict:
+    """JSON plan object of S + 2*reuses nodes that expands to S + (S+1)*reuses,
+    S being chain_length (at least 4).
 
-    A 4-node chain is reused `reuses` times; a ladder of Unions joins the
+    An S-node chain is reused `reuses` times; a ladder of Unions joins the
     chain's top with every ReusedExchange in turn.
     """
     chain = (("Scan", "Scan t [a:int, b:string]"), ("Filter", "Filter (a > 1)"),
+             *(("Filter", f"Filter (b > {i})") for i in range(chain_length - 4)),
              ("Project", "Project [a] output=[a]"),
              ("Exchange", "Exchange hashpartitioning(a) partitions=200"))
     nodes = [{"id": i, "operator": op, "fact": fact} for i, (op, fact) in enumerate(chain)]
-    edges = [[0, 1], [1, 2], [2, 3]]
-    top = 3
+    edges = [[i, i + 1] for i in range(len(chain) - 1)]
+    top = len(chain) - 1
     for _ in range(reuses):
         reuse, union = len(nodes), len(nodes) + 1
         nodes.append({"id": reuse, "operator": "ReusedExchange", "fact": "ReusedExchange",
-                      "properties": {"reuses": 3}})
+                      "properties": {"reuses": len(chain) - 1}})
         nodes.append({"id": union, "operator": "Union", "fact": "Union"})
         edges += [[top, union], [reuse, union]]
         top = union

@@ -1,17 +1,23 @@
-"""Edge-signature packing, aggregation, and locality behavior."""
+"""Edge-signature packing, aggregation, and locality behavior, through the
+block kernel: node_fields rows of several graphs, signed in one call."""
 
 import random
 import statistics
 
 from conftest import OPERATOR_POOL, chain_graph, make_node, permuted, random_dag
-from qdaghash.edges import EDGE_FIELD_LAYOUT, edge_signature, pack_edge_word
+from qdaghash.edges import EDGE_FIELD_LAYOUT, edge_signatures, node_fields
 from qdaghash.operators import operator_code
 from qdaghash.qdag import QDag, structural_profile
 from qdaghash.simhash import hamming
 
 
-def sig(graph):
-    return edge_signature(graph, structural_profile(graph))
+def sigs(*graphs):
+    """The edge signature of each graph, the graphs signed as one block."""
+    profiles = [structural_profile(graph) for graph in graphs]
+    return edge_signatures(node_fields(graphs, profiles), [len(graph.nodes) for graph in graphs])
+
+
+SINGLE_SCAN = QDag("one", [make_node(0, "Scan")], [])
 
 
 def test_layout_is_disjoint_and_leaves_low_byte_zero():
@@ -40,20 +46,20 @@ def test_single_edge_hand_packed_word():
     #   1<<58 | 1<<42 | 1<<36 | 2<<30 | 1<<22 | 1<<11
     expected = 0x0400041080400800
     graph = chain_graph("Scan", "Filter")
-    assert sig(graph) == expected
+    assert sigs(graph, SINGLE_SCAN, graph) == [expected, 1 << 58, expected]
 
 
 def test_zero_edge_graph_packs_node_in_source_fields():
-    graph = QDag("one", [make_node(0, "Scan")], [])
     # lone node: code 1, fwd 0, bwd 0, in 0, out 0; target fields zero
-    assert sig(graph) == 1 << 58
+    assert sigs(SINGLE_SCAN, chain_graph("Scan", "Filter"), SINGLE_SCAN)[::2] == [1 << 58] * 2
 
 
 def test_edge_list_permutation_leaves_signature_unchanged():
     rng = random.Random(2)
     for _ in range(10):
         graph = random_dag(rng, 12, 8)
-        assert sig(permuted(graph, rng)) == sig(graph)
+        shuffled, original = sigs(permuted(graph, rng), graph)
+        assert shuffled == original
 
 
 def pack_oracle(values):
@@ -86,19 +92,18 @@ def per_edge_oracle(graph):
 
 def test_one_pass_sum_equals_per_edge_sum_with_repeated_edges():
     rng = random.Random(6)
+    graphs = []
     for _ in range(60):
         graph = random_dag(rng, rng.randint(2, 25), rng.randint(0, 15))
         repeats = rng.choices(graph.edges, k=rng.randint(1, 10))
-        graph = QDag(graph.id, graph.nodes, graph.edges + tuple(repeats))
-        assert sig(graph) == per_edge_oracle(graph)
+        graphs.append(QDag(graph.id, graph.nodes, graph.edges + tuple(repeats)))
+    assert sigs(*graphs) == [per_edge_oracle(graph) for graph in graphs]
 
 
 def test_one_pass_sum_equals_per_edge_sum_on_edgeless_graphs():
-    for operator in OPERATOR_POOL:
-        graph = QDag("one", [make_node(0, operator)], [])
-        assert sig(graph) == per_edge_oracle(graph)
-    graph = QDag("three", [make_node(i, op) for i, op in enumerate(OPERATOR_POOL[:3])], [])
-    assert sig(graph) == per_edge_oracle(graph)
+    graphs = [QDag("one", [make_node(0, operator)], []) for operator in OPERATOR_POOL]
+    graphs.append(QDag("three", [make_node(i, op) for i, op in enumerate(OPERATOR_POOL[:3])], []))
+    assert sigs(*graphs) == [per_edge_oracle(graph) for graph in graphs]
 
 
 def test_field_saturation_on_a_300_node_chain():
@@ -115,14 +120,14 @@ def test_field_saturation_on_a_300_node_chain():
             profile.in_degree[v], profile.out_degree[v],
         )
         total = (total + pack_oracle(fields)) & 0xFFFFFFFFFFFFFFFF
-    assert sig(graph) == total
+    assert sigs(SINGLE_SCAN, graph)[1] == total
 
 
 def test_one_pass_sum_equals_per_edge_sum_past_order_saturation():
     graph = chain_graph(*(OPERATOR_POOL[i % len(OPERATOR_POOL)] for i in range(260)))
     profile = structural_profile(graph)
     assert profile.forward_order[259] == profile.backward_order[0] == 259  # past 255
-    assert sig(graph) == per_edge_oracle(graph)
+    assert sigs(graph, SINGLE_SCAN) == [per_edge_oracle(graph), per_edge_oracle(SINGLE_SCAN)]
 
 
 def test_one_pass_sum_equals_per_edge_sum_past_degree_saturation():
@@ -133,14 +138,7 @@ def test_one_pass_sum_equals_per_edge_sum_past_degree_saturation():
     graph = QDag("hub", nodes, edges)
     profile = structural_profile(graph)
     assert (profile.in_degree[0], profile.out_degree[0]) == (11, 9)
-    assert sig(graph) == per_edge_oracle(graph)
-
-
-def test_values_saturate_not_wrap():
-    word = pack_edge_word((70, 300, 300, 9, 9, 70, 300, 300, 9, 9))
-    assert word == pack_oracle((70, 300, 300, 9, 9, 70, 300, 300, 9, 9))
-    for (_, width, offset) in EDGE_FIELD_LAYOUT:
-        assert (word >> offset) & ((1 << width) - 1) == (1 << width) - 1
+    assert sigs(SINGLE_SCAN, graph) == [per_edge_oracle(SINGLE_SCAN), per_edge_oracle(graph)]
 
 
 def test_one_leaf_operator_change_moves_signature_locally():
@@ -158,18 +156,16 @@ def test_one_leaf_operator_change_moves_signature_locally():
         ],
         graph.edges,
     )
-    local = hamming(sig(graph), sig(changed))
+    local = hamming(*sigs(graph, changed))
     assert 0 < local
 
-    random_pairs = []
-    for _ in range(60):
-        a = random_dag(rng, rng.randint(5, 20), rng.randint(0, 10))
-        b = random_dag(rng, rng.randint(5, 20), rng.randint(0, 10))
-        random_pairs.append(hamming(sig(a), sig(b)))
+    others = sigs(*(random_dag(rng, rng.randint(5, 20), rng.randint(0, 10)) for _ in range(120)))
+    random_pairs = [hamming(a, b) for a, b in zip(others[::2], others[1::2])]
     assert local < statistics.mean(random_pairs)
 
 
 def test_deterministic_across_runs_in_process():
     rng = random.Random(5)
     graph = random_dag(rng, 20, 12)
-    assert sig(graph) == sig(graph)
+    first, again = sigs(graph, graph)
+    assert first == again == sigs(graph)[0]

@@ -109,12 +109,11 @@ def test_every_export_resolves():
         qdaghash.no_such_name
 
 
-def test_exported_functions_win_over_submodules_of_the_same_name():
-    # Importing a submodule binds it on its package; not over these exports.
-    importlib.import_module("qdaghash.ngrams")
-    importlib.import_module("qdaghash.simhash")
-    from qdaghash import ngrams, simhash
+def test_the_simhash_and_ngrams_attributes_are_the_submodules():
+    import qdaghash.ngrams
+    import qdaghash.simhash
 
-    assert simhash is sys.modules["qdaghash.simhash"].simhash
-    assert ngrams is sys.modules["qdaghash.ngrams"].ngrams
-    assert qdaghash.simhash is simhash and qdaghash.ngrams is ngrams
+    for name in qdaghash.__all__:
+        getattr(qdaghash, name)
+    assert qdaghash.simhash is sys.modules["qdaghash.simhash"]
+    assert qdaghash.ngrams is sys.modules["qdaghash.ngrams"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from loo_reference import reference_report
 from qdaghash import evaluate
-from qdaghash.errors import CorpusTooSmall, MissingRuntime
+from qdaghash.errors import ConfigMismatch, CorpusTooSmall, MissingRuntime
 from qdaghash.evaluate import (
     BUCKET_LABELS,
     DistanceBucket,
@@ -112,6 +112,18 @@ def test_scoring_fewer_than_two_records_is_corpus_too_small(size):
     records = [IndexRecord.from_runtime("a", Fingerprint128(0, 0, "structured"), 1.0)][:size]
     with pytest.raises(CorpusTooSmall, match=f"corpus of {size} document"):
         score_leave_one_out(records)
+
+
+@pytest.mark.parametrize("first", ["structured", "ngram"])
+def test_scoring_records_of_mixed_approaches_is_a_config_mismatch(first):
+    other = "ngram" if first == "structured" else "structured"
+    records = [
+        IndexRecord.from_runtime(f"p{i}", Fingerprint128(i, i, approach), 1.0)
+        for i, approach in enumerate((first, other, other))
+    ]
+    with pytest.raises(ConfigMismatch, match="approach") as exc:
+        score_leave_one_out(records)
+    assert str(exc.value) == f"config mismatch on 'approach': index has {first!r}, got {other!r}"
 
 
 SIG_POOL = (0, 0b1011, 0xF0F0, 0xFFFF_FFFF_FFFF_FFFF)

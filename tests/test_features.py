@@ -3,17 +3,34 @@
 import random
 
 from conftest import chain_graph, make_node, permuted, random_dag
+from qdaghash.edges import node_fields
 from qdaghash.features import (
     FEATURE_SLOTS,
-    NodeFeatureVector,
     bucket_row_width,
     extract_features,
-    node_hash_structured,
-    node_signature_structured,
+    node_signatures_structured,
 )
 from qdaghash.qdag import PlanNode, QDag, structural_profile
 from qdaghash.simhash import string_hash64
 from test_simhash import simhash_oracle
+
+
+def sigs(*graphs):
+    """The structured node signature of each graph, the graphs signed as one block."""
+    fields = node_fields(graphs, [structural_profile(graph) for graph in graphs])
+    return node_signatures_structured(graphs, fields)
+
+
+def node_hash(node):
+    """64-bit hash of the node's feature vector rendered "v0|v1|...|v12"."""
+    return string_hash64("|".join(map(str, extract_features(node).values)))
+
+
+def structured_oracle(graph):
+    """N(G) by its definition: each node's hash voting its depth."""
+    depth = structural_profile(graph).depth
+    return simhash_oracle([node_hash(node) for node in graph.nodes],
+                          [depth[node.id] for node in graph.nodes])
 
 
 def test_bare_scan_is_all_absent_except_operator():
@@ -61,39 +78,43 @@ def test_unknown_categorical_string_lands_on_absent_sentinel():
 
 
 def test_canonical_string_hash():
-    fv = NodeFeatureVector(0, (1,) + (0,) * 12)
-    assert fv.canonical_string() == "1|" + "|".join(["0"] * 12)
-    assert node_hash_structured(fv) == string_hash64("1|0|0|0|0|0|0|0|0|0|0|0|0")
+    # A lone node's signature is its hash, of the "v0|v1|...|v12" string.
+    scan = QDag("scan", [make_node(0, "Scan")], [])
+    join = QDag("join", [make_node(0, "SortMergeJoin", join_semantics="inner", num_keys=2,
+                                   row_width=47)], [])
+    assert sigs(scan, join) == [string_hash64("1|0|0|0|0|0|0|0|0|0|0|0|0"),
+                                string_hash64("10|0|1|0|0|0|0|0|0|0|0|2|64")]
 
 
 def test_single_slot_perturbations_change_the_hash():
     rng = random.Random(12)
+    graphs = []
     for _ in range(100):
-        values = [rng.randint(0, 9) for _ in FEATURE_SLOTS]
-        slot = rng.randrange(len(FEATURE_SLOTS))
-        bumped = list(values)
-        bumped[slot] += 1
-        assert node_hash_structured(NodeFeatureVector(0, tuple(values))) != \
-            node_hash_structured(NodeFeatureVector(0, tuple(bumped)))
+        values = {key: rng.randint(1, 9) for key in FEATURE_SLOTS[1:]}
+        values["row_width"] = rng.randint(1, 8)  # buckets to 8 at most, 9 to 16
+        slot = rng.choice(FEATURE_SLOTS[1:])
+        bumped = {**values, slot: values[slot] + 1 if slot != "row_width" else 9}
+        pair = [make_node(0, "Scan", **props) for props in (values, bumped)]
+        a, b = (extract_features(node).values for node in pair)
+        assert sum(x != y for x, y in zip(a, b)) == 1
+        graphs += [QDag("g", [node], []) for node in pair]
+    signatures = sigs(*graphs)
+    assert all(a != b for a, b in zip(signatures[::2], signatures[1::2]))
 
 
 # -- node signature -------------------------------------------------------------
 
 def test_single_node_signature_is_the_node_hash():
-    graph = QDag("one", [make_node(0, "Scan")], [])
-    profile = structural_profile(graph)
-    assert node_signature_structured(graph, profile) == node_hash_structured(
-        extract_features(graph.nodes[0])
-    )
+    graphs = [QDag("one", [make_node(0, operator)], []) for operator in ("Scan", "Filter", "Sort")]
+    assert sigs(*graphs) == [node_hash(graph.nodes[0]) for graph in graphs]
 
 
 def test_node_list_permutation_invariance():
     rng = random.Random(9)
     for _ in range(10):
         graph = random_dag(rng, 12, 6)
-        shuffled = permuted(graph, rng)
-        assert node_signature_structured(shuffled, structural_profile(shuffled)) == \
-            node_signature_structured(graph, structural_profile(graph))
+        shuffled, original = sigs(permuted(graph, rng), graph)
+        assert shuffled == original
 
 
 def test_signature_matches_brute_force_oracle_on_two_join_plan():
@@ -109,12 +130,8 @@ def test_signature_matches_brute_force_oracle_on_two_join_plan():
         ],
         [(0, 2), (1, 2), (2, 4), (3, 4), (4, 5)],
     )
-    profile = structural_profile(graph)
-    expected = simhash_oracle(
-        [node_hash_structured(extract_features(node)) for node in graph.nodes],
-        [profile.depth[node.id] for node in graph.nodes],
-    )
-    assert node_signature_structured(graph, profile) == expected
+    chain = chain_graph("Scan", "Filter", "Project")
+    assert sigs(graph, chain) == [structured_oracle(graph), structured_oracle(chain)]
 
 
 def test_deep_node_outvotes_shallow_conflict():
@@ -122,17 +139,14 @@ def test_deep_node_outvotes_shallow_conflict():
     # the single opposing vote of weight 1 on every conflicting bit, so the
     # graph signature must equal the deep node's hash outright.
     graph = chain_graph("Scan", "Filter")
-    profile = structural_profile(graph)
-    assert profile.depth == {0: 1, 1: 2}
-    h_deep = node_hash_structured(extract_features(graph.nodes[1]))
-    assert node_signature_structured(graph, profile) == h_deep
+    assert structural_profile(graph).depth == {0: 1, 1: 2}
+    assert sigs(graph, graph) == [node_hash(graph.nodes[1])] * 2
 
 
 def test_balanced_conflict_follows_the_tally_sign():
     graph = chain_graph("Scan", "Filter", "Project")
-    profile = structural_profile(graph)
-    hashes = [node_hash_structured(extract_features(n)) for n in graph.nodes]
-    signature = node_signature_structured(graph, profile)
+    hashes = [node_hash(n) for n in graph.nodes]
+    signature = sigs(chain_graph("Scan", "Filter"), graph)[1]
     for i in range(64):
         tally = sum(
             (depth if (h >> i) & 1 else -depth)
@@ -160,5 +174,5 @@ def test_renaming_fact_identifiers_never_moves_the_signature():
         ],
         [(0, 1)],
     )
-    p1, p2 = structural_profile(graph), structural_profile(renamed)
-    assert node_signature_structured(graph, p1) == node_signature_structured(renamed, p2)
+    original, other = sigs(graph, renamed)
+    assert original == other

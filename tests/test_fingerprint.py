@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import OPERATOR_POOL, dag_graphs, make_node
 from qdaghash import fingerprint, qdag
-from qdaghash.features import node_signature_structured
 from qdaghash.fingerprint import (
     FingerprintConfig,
     fingerprint_document,
@@ -18,9 +17,10 @@ from qdaghash.fingerprint import (
 )
 from qdaghash.ngrams import NGramConfig
 from qdaghash.operators import operator_code
-from qdaghash.qdag import QDag, structural_profile
+from qdaghash.qdag import QDag
 from qdaghash.synth import build_corpus, default_spec
 from test_edges import per_edge_oracle
+from test_features import structured_oracle
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_fingerprints.json"
 
@@ -134,6 +134,4 @@ def test_a_block_fingerprints_as_its_plans_do_alone(block):
         ]
     structured = fingerprint._fingerprint_block(block, FingerprintConfig("structured"))
     assert [fp.edge_sig for fp in structured] == [per_edge_oracle(graph) for graph in block]
-    assert [fp.node_sig for fp in structured] == [
-        node_signature_structured(graph, structural_profile(graph)) for graph in block
-    ]
+    assert [fp.node_sig for fp in structured] == [structured_oracle(graph) for graph in block]

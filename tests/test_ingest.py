@@ -3,12 +3,14 @@
 import json
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nested_reuse_plan, wide_reuse_plan
+from qdaghash import ingest
 from qdaghash.errors import (
     CorpusLoadError,
     CycleDetected,
@@ -470,6 +472,24 @@ def test_wide_reuse_plan_loads_in_linear_time(tmp_path):
     doc = load_plan_file(path)
     assert time.perf_counter() - start < 1.0
     assert len(doc.graph.nodes) == 20_004
+
+
+def test_over_budget_reuse_plan_is_refused_before_any_copy(monkeypatch):
+    # 500 reuse nodes on one 500-node chain: 1,500 input nodes, a 96,000-node
+    # budget and 251,000 expanded nodes. Copying until the budget check
+    # fired made 189 chain copies (94,500 nodes) first.
+    doc = parse_plan_json(json.dumps(wide_reuse_plan(500, chain_length=500)))
+    copied = []
+
+    def counting_replace(obj, **changes):
+        copied.append(obj)
+        return replace(obj, **changes)
+
+    monkeypatch.setattr(ingest, "replace", counting_replace)
+    with pytest.raises(ExpansionTooLarge) as exc:
+        resolve_reuse_references(doc)
+    assert (exc.value.input_nodes, exc.value.budget) == (1500, 96_000)
+    assert copied == []
 
 
 # -- corpus loading ------------------------------------------------------------------

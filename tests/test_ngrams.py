@@ -12,14 +12,23 @@ from conftest import make_node, permuted, random_dag
 from qdaghash.errors import EmptyFact
 from qdaghash.ngrams import (
     NGramConfig,
+    _gram_hashes,
     ngrams,
-    node_hashes_ngram,
-    node_signature_ngram,
+    node_signatures_ngram,
     normalize_fact,
 )
 from qdaghash.qdag import PlanNode, QDag
-from qdaghash.simhash import simhash, string_hash64
-from test_simhash import simhash_oracle
+from qdaghash.simhash import string_hash64
+from test_simhash import simhash_oracle, tally
+
+
+def sigs(*graphs, cfg=NGramConfig()):
+    """The n-gram node signature of each graph, the graphs signed as one block."""
+    return node_signatures_ngram(graphs, cfg)
+
+
+def lone(fact):
+    return QDag("one", [PlanNode(0, fact.split()[0], fact)], [])
 
 
 def test_basic_trigrams():
@@ -114,40 +123,43 @@ def test_config_id_of_lowercased_facts_is_refused():
 # -- per-node hashes -------------------------------------------------------------
 
 def test_fact_of_length_n_gives_single_hash():
-    node = make_node(0, "Sca", fact="Sca")
-    assert node_hashes_ngram(node, NGramConfig(n=3)) == [string_hash64("Sca")]
+    # A lone node of one gram signs as that gram's hash.
+    assert sigs(lone("Sca"), lone("Scan"), cfg=NGramConfig(n=3))[0] == string_hash64("Sca")
 
 
 def test_identical_facts_identical_hash_lists():
-    a = make_node(0, "Scan", fact="Scan lineitem")
-    b = make_node(1, "Scan", fact="Scan lineitem")
-    assert node_hashes_ngram(a) == node_hashes_ngram(b)
+    a = QDag("a", [make_node(0, "Scan", fact="Scan lineitem")], [])
+    b = QDag("b", [make_node(1, "Scan", fact="Scan lineitem")], [])
+    first, second = sigs(a, b)
+    assert first == second
 
 
 def test_repeated_gram_kept_in_multiset():
-    node = make_node(0, "aaaa", fact="aaaa")
-    hashes = node_hashes_ngram(node, NGramConfig(n=3))
-    assert hashes == [string_hash64("aaa"), string_hash64("aaa")]
+    # "aaaab" has grams aaa, aaa, aab: twice "aaa" outvotes "aab" on every bit.
+    assert sigs(lone("aaaab"), lone("aab"), cfg=NGramConfig(n=3)) == [
+        string_hash64("aaa"), string_hash64("aab")]
 
 
 def test_dedupe_flag_collapses_repeats():
-    node = make_node(0, "aaaa", fact="aaaa")
-    assert node_hashes_ngram(node, NGramConfig(n=3, dedupe=True)) == [string_hash64("aaa")]
+    # Deduped, "aaa" and "aab" tie wherever they differ, and ties go to 0.
+    aaa, aab = string_hash64("aaa"), string_hash64("aab")
+    assert sigs(lone("aaaab"), lone("aaaa"), cfg=NGramConfig(n=3, dedupe=True)) == [aaa & aab, aaa]
 
 
 # -- graph signature --------------------------------------------------------------
 
 def test_single_node_single_gram_signature():
     graph = QDag("one", [make_node(0, "Sca", fact="Sca")], [])
-    assert node_signature_ngram(graph, NGramConfig(n=3)) == string_hash64("Sca")
+    two = QDag("two", [make_node(0, "Sca", fact="Sca"), make_node(1, "Sca", fact="Sca")], [(0, 1)])
+    assert sigs(graph, two, cfg=NGramConfig(n=3)) == [string_hash64("Sca")] * 2
 
 
 def test_node_order_permutation_invariance():
     rng = random.Random(10)
     for _ in range(10):
         graph = random_dag(rng, 10, 5)
-        shuffled = permuted(graph, rng)
-        assert node_signature_ngram(shuffled) == node_signature_ngram(graph)
+        shuffled, original = sigs(permuted(graph, rng), graph)
+        assert shuffled == original
 
 
 def test_signature_matches_brute_force_oracle():
@@ -162,17 +174,18 @@ def test_signature_matches_brute_force_oracle():
         [(0, 1), (1, 2), (2, 3)],
     )
     cfg = NGramConfig(n=3)
-    flattened = []
-    for node in graph.nodes:
-        flattened.extend(node_hashes_ngram(node, cfg))
-    assert node_signature_ngram(graph, cfg) == simhash_oracle(flattened)
+    grams = [[string_hash64(gram) for gram in ngrams(node.fact, cfg)] for node in graph.nodes]
+    flattened = [h for hashes in grams for h in hashes]
+    assert sigs(graph, *map(lone, (n.fact for n in graph.nodes)), cfg=cfg) == [
+        simhash_oracle(flattened), *map(simhash_oracle, grams)]
 
 
 def test_unigram_config_runs_and_ignores_order_within_facts():
     cfg = NGramConfig(n=1, collapse_whitespace=False)
     a = QDag("a", [PlanNode(0, "ab", "ab cd")], [])
     b = QDag("b", [PlanNode(0, "dc", "dc ba")], [])
-    assert node_signature_ngram(a, cfg) == node_signature_ngram(b, cfg)
+    first, second = sigs(a, b, cfg=cfg)
+    assert first == second
 
 
 def test_single_character_edit_moves_few_bits():
@@ -196,8 +209,8 @@ def test_single_character_edit_moves_few_bits():
         ],
         [(0, 1)],
     )
-    near = hamming(node_signature_ngram(graph), node_signature_ngram(edited))
-    far = hamming(node_signature_ngram(graph), node_signature_ngram(unrelated))
+    base, edit, other = sigs(graph, edited, unrelated)
+    near, far = hamming(base, edit), hamming(base, other)
     assert near < far
 
 
@@ -233,14 +246,16 @@ configs = st.builds(
 @given(facts, configs)
 def test_one_pass_signature_equals_per_gram_reference(fact_list, cfg):
     nodes = [PlanNode(i, fact[0], fact) for i, fact in enumerate(fact_list)]
-    graph = QDag("plan", nodes, [])
+    # The plan, then each node alone, in one block.
+    block = [QDag("plan", nodes, []), *(QDag("one", [node], []) for node in nodes)]
     try:
         per_node = [reference_hashes(fact, cfg) for fact in fact_list]
     except EmptyFact:
         with pytest.raises(EmptyFact):
-            node_signature_ngram(graph, cfg)
+            node_signatures_ngram(block, cfg)
         return
-    for node, expected in zip(nodes, per_node):
-        assert node_hashes_ngram(node, cfg) == expected
-    flat = [h for hashes in per_node for h in hashes]
-    assert node_signature_ngram(graph, cfg) == simhash(flat)
+    hashes, counts = _gram_hashes(fact_list, cfg)
+    assert hashes.tolist() == [h for node_hashes in per_node for h in node_hashes]
+    assert counts.tolist() == list(map(len, per_node))
+    runs = [(hashes.tolist(), None), *((node_hashes, None) for node_hashes in per_node)]
+    assert node_signatures_ngram(block, cfg) == tally(runs)

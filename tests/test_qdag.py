@@ -14,7 +14,7 @@ from qdaghash.qdag import PlanNode, QDag, structural_profile
 
 def test_three_node_chain_accepted():
     graph = chain_graph("Scan", "Filter", "Project")
-    assert graph.node_ids() == [0, 1, 2]
+    assert [node.id for node in graph.nodes] == [0, 1, 2]
     assert graph.edges == ((0, 1), (1, 2))
 
 
