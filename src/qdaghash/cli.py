@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_document
@@ -136,11 +136,18 @@ def _load_plan(path: str | Path, require_runtime: bool = False) -> PlanDocument:
 def _fingerprint_files(
     paths: Sequence[str | Path], config: FingerprintConfig, require_runtime: bool
 ) -> list[FingerprintedPlan]:
-    """The plans at paths, fingerprinted in blocks: a batch command's fork_map
-    share. The one-process paths call it one plan at a time, so that they
-    stop at the first bad plan with the plans before it done."""
+    """The plans at paths, fingerprinted in blocks: a fork_map share."""
     docs = (_load_plan(path, require_runtime) for path in paths)
     return list(fingerprint_documents(docs, config))
+
+
+def _fingerprint_batch(
+    paths: Sequence[str], config: FingerprintConfig, require_runtime: bool
+) -> Iterable[FingerprintedPlan]:
+    """The plans at paths in order, forked; if anything failed there, one at a
+    time here, so the first bad plan raises with the plans before it done."""
+    files = partial(_fingerprint_files, config=config, require_runtime=require_runtime)
+    return fork_map(files, paths) or (plan for path in paths for plan in files([path]))
 
 
 @contextlib.contextmanager
@@ -169,11 +176,7 @@ def _index_lock(index_path: Path) -> Iterator[None]:
 def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stamp = IndexHeader.for_config(config)
-    fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=False)
-    plans = fork_map(fingerprint_files, args.plans) or (
-        plan for path in args.plans for plan in fingerprint_files([path])
-    )
-    for plan_id, fp, _ in plans:
+    for plan_id, fp, _ in _fingerprint_batch(args.plans, config, require_runtime=False):
         if args.json:
             print(json.dumps({
                 "plan_id": plan_id,
@@ -203,11 +206,7 @@ def cmd_index_add(args: argparse.Namespace) -> int:
         else:
             config = _config_from_args(args)
             index = Index.new(config)
-        fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=True)
-        plans = fork_map(fingerprint_files, args.plans) or (
-            plan for path in args.plans for plan in fingerprint_files([path])
-        )
-        for plan in plans:
+        for plan in _fingerprint_batch(args.plans, config, require_runtime=True):
             index.add(IndexRecord.from_runtime(*plan))
         index.save(path)
     print(

@@ -170,11 +170,10 @@ class ConfigMismatch(OperationalError):
 class IndexFormatError(OperationalError):
     """A corrupt index file.
 
-    where is a 1-based line number (the header line, or a v1 record line)
-    or a place in a v2 file such as "record 7" or "block 'runtime'".
+    where names the place: "line 1" (the header), "record 7" (counted
+    from 1) or a block such as "block 'runtime'".
     """
 
-    def __init__(self, where: int | str, detail: str):
-        self.line_no = where if isinstance(where, int) else None
-        self.where = f"line {where}" if isinstance(where, int) else where
-        super().__init__(f"index file {self.where}: {detail}")
+    def __init__(self, where: str, detail: str):
+        self.where = where
+        super().__init__(f"index file {where}: {detail}")

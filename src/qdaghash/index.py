@@ -47,10 +47,9 @@ turns them into a list. Loading a 100,000-record index takes 12-20 ms
 and lifts peak RSS from 30 MB after import to 42.5 MB (2-core Xeon VM,
 BENCH_8.json).
 
-Version 1 files, one JSON record per line after the header, still load;
-save always writes version 2. Save writes a temporary file beside the
-target, fsyncs it and renames it over the target, so a crash leaves either
-the old file or the new one.
+Load refuses every other format version. Save writes a temporary file
+beside the target, fsyncs it and renames it over the target, so a crash
+leaves either the old file or the new one.
 
 The index allows many concurrent readers with exclusive writers: mutation
 and snapshot-taking synchronize on one lock, and scans run on snapshots,
@@ -66,7 +65,7 @@ import os
 import stat
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -89,7 +88,6 @@ from .operators import REGISTRY_VERSION
 from .simhash import HASH_ALGORITHM_ID
 
 INDEX_FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, INDEX_FORMAT_VERSION)
 
 # The Simple/Medium and Medium/Complex boundaries; a runtime on one is the
 # heavier label.
@@ -106,13 +104,6 @@ class ComplexityLabel(enum.IntEnum):
     @property
     def display(self) -> str:
         return self.name.capitalize()
-
-    @classmethod
-    def parse(cls, text: str) -> "ComplexityLabel":
-        try:
-            return cls[text.strip().upper()]
-        except (AttributeError, KeyError):
-            raise ValueError(f"unknown complexity label {text!r}") from None
 
 
 def classify_runtime(runtime_seconds: float) -> ComplexityLabel:
@@ -161,13 +152,8 @@ class MatchResult:
     runtime_seconds: float
 
 
-# The operator table of every index written before headers recorded it.
-_UNSTAMPED_OPERATOR_REGISTRY = "ops1"
-
-
 @dataclass(frozen=True)
 class IndexHeader:
-    version: int
     hash_algo: str
     approach: str
     node_config: str
@@ -182,7 +168,6 @@ class IndexHeader:
         else:
             node_config = config.ngram.config_id()
         return cls(
-            version=INDEX_FORMAT_VERSION,
             hash_algo=HASH_ALGORITHM_ID,
             approach=config.approach,
             node_config=node_config,
@@ -202,7 +187,7 @@ class IndexHeader:
 
     def to_json_obj(self) -> dict[str, object]:
         obj: dict[str, object] = {
-            "version": self.version,
+            "version": INDEX_FORMAT_VERSION,
             "hash_algo": self.hash_algo,
             "approach": self.approach,
             "edge_layout_version": self.edge_layout_version,
@@ -213,29 +198,27 @@ class IndexHeader:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict[str, object]) -> "IndexHeader":
+    def from_json_obj(cls, obj: object) -> "IndexHeader":
         """Inverse of to_json_obj; a missing key raises KeyError and a value
-        of the wrong JSON type raises TypeError, nothing is coerced.
-
-        A header without operator_registry predates the key and was written
-        with the only table of that time.
-        """
-        approach = _json_str(obj, "approach")
-        key = "feature_schema_version" if approach == APPROACH_STRUCTURED else "ngram_config"
+        of the wrong JSON type raises TypeError, nothing is coerced. Any other
+        format version, whatever the other keys, raises IndexFormatError."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"header must be a JSON object, got {type(obj).__name__}")
         version = obj["version"]
         if isinstance(version, bool) or not isinstance(version, int):
             raise TypeError(f"'version' must be an integer, got {version!r}")
+        if version != INDEX_FORMAT_VERSION:
+            raise IndexFormatError(
+                "line 1", f"unsupported index version {version} (expected {INDEX_FORMAT_VERSION})"
+            )
+        approach = _json_str(obj, "approach")
+        key = "feature_schema_version" if approach == APPROACH_STRUCTURED else "ngram_config"
         return cls(
-            version=version,
             hash_algo=_json_str(obj, "hash_algo"),
             approach=approach,
             node_config=_json_str(obj, key),
             edge_layout_version=_json_str(obj, "edge_layout_version"),
-            operator_registry=(
-                _json_str(obj, "operator_registry")
-                if "operator_registry" in obj
-                else _UNSTAMPED_OPERATOR_REGISTRY
-            ),
+            operator_registry=_json_str(obj, "operator_registry"),
         )
 
 
@@ -258,13 +241,11 @@ def require_compatible(
     """Raise ConfigMismatch unless config fingerprints as header's index did.
 
     Compares the header with IndexHeader.for_config(config) key by key in
-    header order (or only the given fields) and names the first key that
-    differs. The file format version is not compared: it decides how the
-    file is read, not the fingerprint bits.
+    header order (or only the given fields), naming the first that differs.
     """
     got = IndexHeader.for_config(config).to_json_obj()
     for key, expected in header.to_json_obj().items():
-        if key == "version" or (fields is not None and key not in fields):
+        if fields is not None and key not in fields:
             continue
         if got.get(key) != expected:
             raise ConfigMismatch(key, expected, got.get(key))
@@ -387,7 +368,7 @@ class Index:
 
     def __init__(self, header: IndexHeader):
         if header.approach not in APPROACHES:
-            raise ConfigMismatch("approach", "|".join(APPROACHES), header.approach)
+            raise ConfigMismatch("approach", header.approach, "|".join(APPROACHES))
         self.header = header
         self._lock = threading.Lock()
         # An _IdColumn after a load, a list from the first add on.
@@ -483,11 +464,10 @@ class Index:
         n = len(columns.edge)
         ids = [plan_id.encode("utf-8") for plan_id in columns.ids]
         blob = b"".join(ids)
-        header = replace(self.header, version=INDEX_FORMAT_VERSION)
         _replace_file(
             Path(path),
             [
-                json.dumps(header.to_json_obj()).encode("utf-8") + b"\n",
+                json.dumps(self.header.to_json_obj()).encode("utf-8") + b"\n",
                 np.array([n, len(blob)], _U64).tobytes(),
                 columns.edge.tobytes(),
                 columns.node.tobytes(),
@@ -502,16 +482,13 @@ class Index:
     def load(cls, path: str | Path) -> "Index":
         data = Path(path).read_bytes()
         if not data:
-            raise IndexFormatError(1, "empty index file")
+            raise IndexFormatError("line 1", "empty index file")
         newline = data.find(b"\n")
         body = len(data) if newline < 0 else newline + 1
         header = _read_header(data[:body])
         index = cls(header)
         require_compatible(header, FingerprintConfig(approach=header.approach), _REFUSED_AT_LOAD)
-        if header.version == INDEX_FORMAT_VERSION:
-            columns = _read_v2(data, body)
-        else:
-            columns = _Columns.of(_read_v1(data, body, header.approach))
+        columns = _read_v2(data, body)
         index._ids = columns.ids
         index._frozen = columns
         index._row_of = None
@@ -543,17 +520,11 @@ def _read_header(line: bytes) -> IndexHeader:
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise IndexFormatError(1, f"not valid UTF-8 at byte {exc.start}") from exc
+        raise IndexFormatError("line 1", f"not valid UTF-8 at byte {exc.start}") from exc
     try:
         header = IndexHeader.from_json_obj(json.loads(text))
     except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise IndexFormatError(1, f"bad header: {exc}") from exc
-    if header.version not in _READABLE_VERSIONS:
-        raise IndexFormatError(
-            1,
-            f"unsupported index version {header.version} "
-            f"(expected one of {', '.join(map(str, _READABLE_VERSIONS))})",
-        )
+        raise IndexFormatError("line 1", f"bad header: {exc}") from exc
     return header
 
 
@@ -678,53 +649,3 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
             seen.add(plan_id)
     return _Columns(ids, blocks["edge"], blocks["node"], runtime)
 
-
-def _read_v1(data: bytes, pos: int, approach: str) -> list[IndexRecord]:
-    """The records of a v1 file: one JSON object per line from pos on."""
-    try:
-        text = data[pos:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        at = pos + exc.start
-        line_no = data.count(b"\n", 0, at) + 1
-        raise IndexFormatError(line_no, f"not valid UTF-8 at byte {at}") from exc
-    records: dict[str, IndexRecord] = {}
-    for line_no, line in enumerate(text.splitlines(), start=2):
-        if not line.strip():
-            continue
-        record = _parse_record_line(line, line_no, approach)
-        if record.plan_id in records:
-            raise IndexFormatError(line_no, f"duplicate plan_id {record.plan_id!r}")
-        records[record.plan_id] = record
-    return list(records.values())
-
-
-def _parse_record_line(line: str, line_no: int, approach: str) -> IndexRecord:
-    try:
-        obj = json.loads(line)
-        plan_id = obj["plan_id"]
-        edge_hex = obj["edge_fp"]
-        node_hex = obj["node_fp"]
-        runtime = obj["runtime_seconds"]
-        label = ComplexityLabel.parse(obj["label"])
-    except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise IndexFormatError(line_no, str(exc)) from exc
-    for name, value in (("edge_fp", edge_hex), ("node_fp", node_hex)):
-        if not isinstance(value, str) or len(value) != 16:
-            raise IndexFormatError(line_no, f"{name} must be 16 hex characters")
-    try:
-        fingerprint = Fingerprint128(int(edge_hex, 16), int(node_hex, 16), approach)
-    except ValueError as exc:
-        raise IndexFormatError(line_no, str(exc)) from exc
-    if isinstance(runtime, bool) or not isinstance(runtime, (int, float)):
-        raise IndexFormatError(line_no, "runtime_seconds must be a number")
-    try:
-        record = IndexRecord(plan_id, fingerprint, runtime)
-    except InputError as exc:
-        raise IndexFormatError(line_no, str(exc)) from exc
-    if label is not record.label:
-        raise IndexFormatError(
-            line_no,
-            f"label {label.display} does not match runtime {record.runtime_seconds} "
-            f"({record.label.display})",
-        )
-    return record

@@ -36,19 +36,12 @@ def _no_child_left_behind():
     pytest.fail(f"the test left child process {pid or '(still running)'} unreaped")
 
 
-def save_v1(index, path) -> None:
-    """Write index as a version 1 file: the JSON header line, then one JSON
-    record per line, as earlier releases of Index.save did."""
-    lines = [json.dumps({**index.header.to_json_obj(), "version": 1})]
-    for r in index.records():
-        lines.append(json.dumps({
-            "plan_id": r.plan_id,
-            "edge_fp": r.fingerprint.edge_hex,
-            "node_fp": r.fingerprint.node_hex,
-            "runtime_seconds": r.runtime_seconds,
-            "label": r.label.display,
-        }))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def rewrite_header(path, edit):
+    """Apply edit to the JSON header of the index file at path."""
+    head, body = Path(path).read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 OPERATOR_POOL = (

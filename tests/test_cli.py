@@ -6,11 +6,11 @@ import sys
 import time
 
 import pytest
-from conftest import nested_reuse_plan, save_v1
+from conftest import nested_reuse_plan, rewrite_header
 
 from qdaghash.cli import main
-from qdaghash.fingerprint import FingerprintConfig
-from qdaghash.index import Index, IndexHeader
+from qdaghash.fingerprint import Fingerprint128, FingerprintConfig
+from qdaghash.index import Index, IndexRecord
 from qdaghash.synth import default_spec, generate_corpus
 
 PLAN_TEXT = """-- plan_id: demo
@@ -187,12 +187,13 @@ def test_ngram_stamp_keeps_its_format(plan_file, capsys, n, keep_ids, no_normali
 
 
 def test_lowercasing_ngram_index_is_shown_but_refused_at_use(tmp_path, plan_file, capsys):
-    header = IndexHeader.for_config(FingerprintConfig("ngram")).to_json_obj()
-    header = {**header, "version": 1, "ngram_config": "n=3,strip_ids=1,collapse_ws=1,lower=1,dedupe=0"}
-    record = {"plan_id": "old", "edge_fp": "00000000000000ff", "node_fp": "0000000000000001",
-              "runtime_seconds": 2.0, "label": "Simple"}
+    index = Index.new(FingerprintConfig("ngram"))
+    index.add(IndexRecord("old", Fingerprint128(0xFF, 1, "ngram"), 2.0))
     index_path = tmp_path / "lower.qdx"
-    index_path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n", encoding="utf-8")
+    index.save(index_path)
+    rewrite_header(index_path, lambda header: header.update(
+        ngram_config="n=3,strip_ids=1,collapse_ws=1,lower=1,dedupe=0"
+    ))
     before = index_path.read_bytes()
     for command in (["index", "add"], ["match"], ["predict"]):
         assert run_cli(*command, plan_file, "--index", index_path) == 1
@@ -289,31 +290,6 @@ def test_runtime_that_is_not_a_number_exits_2(tmp_path, capsys, runtime):
         )
 
 
-@pytest.mark.parametrize("key,value,message", [
-    ("runtime_seconds", 10**400, "runtime_seconds must be finite, got inf"),
-    ("plan_id", "q\ud800", "schema violation on field 'plan_id': must not contain a lone surrogate"),
-    ("runtime_seconds", "5", "runtime_seconds must be a number"),
-])
-def test_v1_record_outside_the_record_contract_exits_1_at_load(
-    tmp_path, plan_file, capsys, key, value, message
-):
-    index_path = tmp_path / "runs.qdx"
-    assert run_cli("index", "add", plan_file, "--index", index_path) == 0
-    save_v1(Index.load(index_path), index_path)
-    header, line = index_path.read_text().splitlines()
-    index_path.write_text(f"{header}\n{json.dumps({**json.loads(line), key: value})}\n")
-    before = index_path.read_bytes()
-    capsys.readouterr()
-    for argv in (
-        ("index", "show", "--index", index_path),
-        ("predict", plan_file, "--index", index_path),
-        ("index", "add", plan_file, "--index", index_path),
-    ):
-        assert run_cli(*argv) == 1
-        assert capsys.readouterr() == ("", f"error: index file line 2: {message}\n")
-        assert index_path.read_bytes() == before
-
-
 def test_index_add_into_missing_directory_names_the_index_path(tmp_path, plan_file, capsys):
     index_path = tmp_path / "nodir" / "runs.qdx"
     assert run_cli("index", "add", plan_file, "--index", index_path) == 1
@@ -334,22 +310,26 @@ def test_nested_reuse_bomb_exits_2_quickly(tmp_path, capsys):
     assert not index_path.exists()
 
 
-def test_index_add_migrates_v1_file_to_v2(tmp_path, corpus_dir, capsys):
+def test_version_1_index_file_exits_1_and_is_kept(tmp_path, plan_file, capsys):
+    # the JSON-lines format of the first releases: a header, then one record per line
     index_path = tmp_path / "runs.qdx"
-    plans = sorted(corpus_dir.glob("*.json"))
-    assert run_cli("index", "add", *plans[:4], "--index", index_path) == 0
-    save_v1(Index.load(index_path), index_path)
-    capsys.readouterr()
-    assert run_cli("match", plans[0], "--index", index_path, "--json") == 0
-    assert json.loads(capsys.readouterr().out)[0]["node_distance"] == 0
-
-    assert run_cli("index", "add", *plans[4:6], "--index", index_path) == 0
-    head = index_path.read_bytes().split(b"\n", 1)[0]
-    assert json.loads(head)["version"] == 2
-    capsys.readouterr()
-    assert run_cli("index", "show", "--index", index_path, "--json") == 0
-    shown = json.loads(capsys.readouterr().out)
-    assert len(shown["records"]) == 6
+    index_path.write_text(
+        '{"version": 1, "hash_algo": "cityhash64", "approach": "structured", '
+        '"edge_layout_version": "el1", "feature_schema_version": "fs1"}\n'
+        '{"plan_id": "old", "edge_fp": "00000000000000ff", "node_fp": "0000000000000001", '
+        '"runtime_seconds": 2.0, "label": "Simple"}\n'
+    )
+    before = index_path.read_bytes()
+    for argv in (
+        ("index", "show", "--index", index_path),
+        ("predict", plan_file, "--index", index_path),
+        ("index", "add", plan_file, "--index", index_path),
+    ):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: index file line 1: unsupported index version 1 (expected 2)\n"
+        )
+        assert index_path.read_bytes() == before
 
 
 def test_index_add_after_a_load_keeps_rows_and_replaces_in_place(tmp_path, corpus_dir, capsys):
@@ -439,11 +419,12 @@ def test_non_finite_property_reads_as_absent(tmp_path, capsys, approach, key, li
 def test_non_utf8_index_exits_1(plan_file, tmp_path, capsys):
     index_path = tmp_path / "runs.qdx"
     assert run_cli("index", "add", plan_file, "--index", index_path) == 0
-    save_v1(Index.load(index_path), index_path)
-    index_path.write_bytes(index_path.read_bytes() + b'{"plan_id": "\xff"}\n')
+    data = index_path.read_bytes().replace(b'"ops1"', b'"ops\xff"', 1)
+    index_path.write_bytes(data)
     capsys.readouterr()
     assert run_cli("index", "show", "--index", index_path) == 1
-    assert "index file line 3: not valid UTF-8" in capsys.readouterr().err
+    at = data.index(b"\xff")
+    assert capsys.readouterr().err == f"error: index file line 1: not valid UTF-8 at byte {at}\n"
 
 
 def test_unreadable_plan_path_exits_nonzero(tmp_path, capsys):

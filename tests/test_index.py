@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import save_v1
+from conftest import rewrite_header
 from index_reference import reference_ids
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -357,63 +357,46 @@ def test_save_load_round_trip(tmp_path):
     assert (tmp_path / "again.qdx").read_bytes() == path.read_bytes()
 
 
-def test_truncated_record_line_reports_line_number(tmp_path):
-    index = five_record_index()
+def saved_index(tmp_path, index=None):
+    """The path of index (default five_record_index()) saved in tmp_path."""
     path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines[-1] = lines[-1][: len(lines[-1]) // 2]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexFormatError) as exc:
-        Index.load(path)
-    assert exc.value.line_no == len(lines)
+    (five_record_index() if index is None else index).save(path)
+    return path
+
+
+def test_readme_header_example_is_the_saved_header(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("`head -1 runs.qdx`", 1)[1].split("```json\n", 1)[1].split("\n", 1)[0]
+    assert example == json.dumps(IndexHeader.for_config(FingerprintConfig()).to_json_obj())
+    assert saved_index(tmp_path).read_bytes().split(b"\n", 1)[0] == example.encode()
 
 
 def test_bad_header_version_rejected(tmp_path):
-    index = five_record_index()
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"version": 1', '"version": 99')
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexFormatError):
+    path = saved_index(tmp_path)
+    rewrite_header(path, lambda header: header.update(version=99))
+    with pytest.raises(IndexFormatError) as exc:
         Index.load(path)
+    assert str(exc.value) == "index file line 1: unsupported index version 99 (expected 2)"
 
 
 def test_foreign_feature_schema_rejected_at_load(tmp_path):
-    index = five_record_index()
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"feature_schema_version": "fs1"', '"feature_schema_version": "fs0"')
-    path.write_text("\n".join(lines) + "\n")
+    path = saved_index(tmp_path)
+    rewrite_header(path, lambda header: header.update(feature_schema_version="fs0"))
     with pytest.raises(ConfigMismatch) as exc:
         Index.load(path)
     assert exc.value.field == "feature_schema_version"
 
 
 def test_foreign_edge_layout_rejected_at_load(tmp_path):
-    index = five_record_index()
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"edge_layout_version": "el1"', '"edge_layout_version": "el9"')
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigMismatch):
+    path = saved_index(tmp_path)
+    rewrite_header(path, lambda header: header.update(edge_layout_version="el9"))
+    with pytest.raises(ConfigMismatch) as exc:
         Index.load(path)
-
-
-def rewrite_header(path, edit):
-    """Apply edit to the JSON header of the index file at path."""
-    head, body = path.read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    edit(header)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    assert exc.value.field == "edge_layout_version"
 
 
 def test_foreign_operator_registry_rejected_at_load(tmp_path):
-    path = tmp_path / "idx.qdx"
-    five_record_index().save(path)
+    path = saved_index(tmp_path)
     assert json.loads(path.read_bytes().split(b"\n", 1)[0])["operator_registry"] == "ops1"
     rewrite_header(path, lambda header: header.update(operator_registry="ops9"))
     with pytest.raises(ConfigMismatch) as exc:
@@ -421,28 +404,27 @@ def test_foreign_operator_registry_rejected_at_load(tmp_path):
     assert exc.value.field == "operator_registry"
 
 
-@pytest.mark.parametrize("write", [Index.save, save_v1], ids=["v2", "v1"])
-def test_header_without_operator_registry_reads_as_ops1(tmp_path, write):
-    # files written before the header stamped the operator table
-    index = five_record_index()
-    path = tmp_path / "idx.qdx"
-    write(index, path)
+def test_header_without_operator_registry_rejected(tmp_path):
+    path = saved_index(tmp_path)
     rewrite_header(path, lambda header: header.pop("operator_registry"))
-    loaded = Index.load(path)
-    assert loaded.header.operator_registry == "ops1"
-    assert dataclasses.replace(loaded.header, version=index.header.version) == index.header
-    assert loaded.records() == index.records()
-    require_compatible(loaded.header, FingerprintConfig())
+    with pytest.raises(IndexFormatError) as exc:
+        Index.load(path)
+    assert str(exc.value) == "index file line 1: bad header: 'operator_registry'"
+
+
+@pytest.mark.parametrize("line,kind", [("[1]", "list"), ('"x"', "str"), ("3", "int"), ("null", "NoneType")])
+def test_header_that_is_not_an_object_rejected(tmp_path, line, kind):
+    path = saved_index(tmp_path)
+    path.write_bytes(line.encode() + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(IndexFormatError) as exc:
+        Index.load(path)
+    assert str(exc.value) == f"index file line 1: bad header: header must be a JSON object, got {kind}"
 
 
 def test_foreign_hash_algo_loads_but_fails_at_use(tmp_path):
     # the file stays inspectable; fingerprinting against it is refused
-    index = five_record_index()
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"hash_algo": "cityhash64"', '"hash_algo": "xxhash"')
-    path.write_text("\n".join(lines) + "\n")
+    path = saved_index(tmp_path)
+    rewrite_header(path, lambda header: header.update(hash_algo="xxhash"))
     loaded = Index.load(path)
     assert loaded.header.hash_algo == "xxhash"
     with pytest.raises(ConfigMismatch) as exc:
@@ -451,27 +433,12 @@ def test_foreign_hash_algo_loads_but_fails_at_use(tmp_path):
 
 
 def test_unknown_approach_rejected_at_load(tmp_path):
-    index = Index.new(FingerprintConfig(approach="ngram"))
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    text = path.read_text().replace('"approach": "ngram"', '"approach": "bogus"')
-    path.write_text(text)
+    path = saved_index(tmp_path, Index.new(FingerprintConfig(approach="ngram")))
+    rewrite_header(path, lambda header: header.update(approach="bogus"))
     with pytest.raises(ConfigMismatch) as exc:
         Index.load(path)
     assert exc.value.field == "approach"
-
-
-def test_duplicate_plan_id_in_file_rejected(tmp_path):
-    index = five_record_index()
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines.append(lines[1])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexFormatError) as exc:
-        Index.load(path)
-    assert exc.value.line_no == len(lines)
-    assert "duplicate plan_id" in str(exc.value)
+    assert str(exc.value) == "config mismatch on 'approach': index has 'bogus', got 'structured|ngram'"
 
 
 def test_unparseable_ngram_config_is_a_mismatch():
@@ -480,18 +447,6 @@ def test_unparseable_ngram_config_is_a_mismatch():
     with pytest.raises(ConfigMismatch) as exc:
         header.to_config()
     assert exc.value.field == "ngram_config"
-
-
-def test_label_runtime_disagreement_rejected(tmp_path):
-    index = Index.new(FingerprintConfig())
-    index.add(record("q", 1, 1, 1.0))
-    path = tmp_path / "idx.qdx"
-    save_v1(index, path)
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1].replace('"Simple"', '"Complex"')
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexFormatError):
-        Index.load(path)
 
 
 def test_ngram_header_round_trips_config(tmp_path):
@@ -562,15 +517,11 @@ def test_replace_after_load_keeps_the_row(tmp_path):
     ("operator_registry", None),
 ])
 def test_header_value_of_wrong_type_rejected(tmp_path, key, value):
-    path = tmp_path / "idx.qdx"
-    five_record_index().save(path)
-    head, body = path.read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    header[key] = value
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    path = saved_index(tmp_path)
+    rewrite_header(path, lambda header: header.update({key: value}))
     with pytest.raises(IndexFormatError) as exc:
         Index.load(path)
-    assert exc.value.line_no == 1
+    assert exc.value.where == "line 1"
     assert key in str(exc.value)
 
 
@@ -626,8 +577,7 @@ def v2_spans(data):
 
 def saved_v2(tmp_path):
     """A saved five_record_index (ids a..e, one byte each) and its bytes."""
-    path = tmp_path / "idx.qdx"
-    five_record_index().save(path)
+    path = saved_index(tmp_path)
     return path, bytearray(path.read_bytes())
 
 
@@ -696,16 +646,12 @@ def test_v2_non_increasing_offsets_rejected(tmp_path):
     assert error.where == "record 3"
 
 
-@pytest.mark.parametrize("line_no", [1, 2])
-def test_deeply_nested_json_line_rejected(tmp_path, line_no):
-    path = tmp_path / "idx.qdx"
-    save_v1(five_record_index(), path)
-    lines = path.read_text().splitlines()
-    lines[line_no - 1] = "[" * 100_000
-    path.write_text("\n".join(lines) + "\n")
+def test_deeply_nested_json_header_rejected(tmp_path):
+    path = saved_index(tmp_path)
+    path.write_bytes(b"[" * 100_000 + b"\n" + path.read_bytes().split(b"\n", 1)[1])
     with pytest.raises(IndexFormatError) as exc:
         Index.load(path)
-    assert exc.value.line_no == line_no
+    assert exc.value.where == "line 1"
 
 
 @cache
