@@ -37,15 +37,18 @@ Save writes the label block from the runtimes, and load checks it against
 them.
 
 Index.load reads the blocks with np.frombuffer and checks every record
-column-wise (see _read_v2), plan ids included, without a Python object per
-record: the ids are valid UTF-8 when the whole blob decodes and no id
-starts on a continuation byte, and they are distinct when no two ids of one
-length share a 64-bit key of their bytes (a shared key falls back to an
-exact check). The loaded ids stay in the blob and are decoded one at a
-time when read, so a match decodes only its candidates; the first add
-turns them into a list. Loading a 100,000-record index takes 12-20 ms
-and lifts peak RSS from 30 MB after import to 42.5 MB (2-core Xeon VM,
-BENCH_8.json).
+column-wise (see _read_v2), plan ids included, with no Python object per
+record and no copy of a block: the id blob stays a view of the file bytes,
+and beside them a load holds only the keys of the duplicate check and
+chunk-sized arrays. The ids are valid UTF-8 when the blob is all ASCII, or
+else when it decodes and no id starts on a continuation byte. They are
+distinct when no two share a 64-bit key mixed from their 8-byte words
+(_id_keys); only ids whose key repeats are decoded for the exact check.
+The loaded ids are decoded one at a time when read, so a match decodes
+only its candidates; the first add turns them into a list. Loading a
+100,000-record index of 4.2 MB takes 8.5-12 ms and lifts peak RSS by
+6.1 MB over import; a 1M-record one, the file plus 8.8 MB (2-core Xeon
+VM, BENCH_17.json).
 
 Load refuses every other format version. Save writes a temporary file
 beside the target, fsyncs it and renames it over the target, so a crash
@@ -67,10 +70,9 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigMismatch, EmptyIndex, IndexFormatError, InputError
 from .edges import EDGE_LAYOUT_VERSION
@@ -206,7 +208,7 @@ class IndexHeader:
             raise TypeError(f"header must be a JSON object, got {type(obj).__name__}")
         version = obj["version"]
         if isinstance(version, bool) or not isinstance(version, int):
-            raise TypeError(f"'version' must be an integer, got {version!r}")
+            raise TypeError(f"'version' must be an integer, got {type(version).__name__}")
         if version != INDEX_FORMAT_VERSION:
             raise IndexFormatError(
                 "line 1", f"unsupported index version {version} (expected {INDEX_FORMAT_VERSION})"
@@ -225,7 +227,7 @@ class IndexHeader:
 def _json_str(obj: dict[str, object], key: str) -> str:
     value = obj[key]
     if not isinstance(value, str):
-        raise TypeError(f"{key!r} must be a string, got {value!r}")
+        raise TypeError(f"{key!r} must be a string, got {type(value).__name__}")
     return value
 
 
@@ -264,28 +266,37 @@ _EXCLUDED = 255
 _NOT_CANDIDATE = (1 << 63) - 1  # the largest int64
 
 
+# Ids are checked and keyed a chunk of at most this many rows and id bytes
+# at a time, so that a load holds no array of the record count beside the
+# file bytes but the keys.
+_CHUNK_ROWS = 1 << 13
+_CHUNK_BYTES = 1 << 17
+
+
 class _IdColumn(Sequence[str]):
     """The plan ids of a v2 file, each decoded from the id blob when read.
 
-    Row i is blob[starts[i]:ends[i]]; _read_v2 has checked that every row
-    decodes and that no two are equal.
+    Row i, for 0 <= i < n, is blob[ends[i - 1]:ends[i]], from 0 for row 0;
+    blob is a view of the file bytes and ends its offsets block. _read_v2
+    has checked that every row decodes and that no two are equal.
     """
 
-    def __init__(self, blob: bytes, starts: np.ndarray, ends: np.ndarray):
-        self._blob = blob
-        self._starts = starts
-        self._ends = ends
+    def __init__(self, blob: memoryview, ends: np.ndarray):
+        self.blob = blob
+        self.ends = ends
 
     def __len__(self) -> int:
-        return len(self._ends)
+        return len(self.ends)
 
     def __getitem__(self, row: int) -> str:  # type: ignore[override]
-        return self._blob[self._starts[row] : self._ends[row]].decode("utf-8")
+        start = self.ends[row - 1] if row else 0
+        return str(self.blob[start : self.ends[row]], "utf-8")
 
     def __iter__(self) -> Iterator[str]:
-        blob = self._blob
-        for start, end in zip(self._starts.tolist(), self._ends.tolist()):
-            yield blob[start:end].decode("utf-8")
+        blob, start = self.blob, 0
+        for end in self.ends.tolist():
+            yield str(blob[start:end], "utf-8")
+            start = end
 
 
 class _Columns(NamedTuple):
@@ -535,52 +546,166 @@ def _block(data: bytes, pos: int, name: str, dtype: np.dtype, count: int) -> np.
     return np.frombuffer(data, dtype, count, pos)
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """The 1-based number of the first record where mask is set."""
-    rows = np.flatnonzero(mask)
-    return int(rows[0]) + 1 if len(rows) else None
+def _first_bad(n: int, ok: Callable[[int, int], np.ndarray]) -> int | None:
+    """The 1-based number of the first of n records that is not ok; ok(lo,
+    hi) says which of rows lo..hi-1 are, for a chunk of rows at a time."""
+    for lo in range(0, n, _CHUNK_ROWS):
+        chunk = ok(lo, min(lo + _CHUNK_ROWS, n))
+        if not chunk.all():
+            return lo + int(chunk.argmin()) + 1
+    return None
 
 
-def _decodes(blob: bytes) -> bool:
+def _starts(ends: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The start offsets of rows lo..hi-1 of an id blob whose rows end at ends."""
+    start = np.empty(hi - lo, ends.dtype)
+    start[:1] = ends[lo - 1] if lo else 0
+    start[1:] = ends[lo : hi - 1]
+    return start
+
+
+def _chunks(ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Rows lo..hi-1 of an id blob whose rows end at ends, with their start
+    and end offsets as int64, in chunks of at most _CHUNK_ROWS rows and
+    _CHUNK_BYTES bytes, or of one longer id."""
+    lo = 0
+    while lo < len(ends):
+        limit = np.uint64((int(ends[lo - 1]) if lo else 0) + _CHUNK_BYTES)
+        hi = min(lo + _CHUNK_ROWS, max(lo + 1, int(np.searchsorted(ends, limit, "right"))))
+        yield lo, hi, _starts(ends, lo, hi).astype(np.int64), ends[lo:hi].astype(np.int64)
+        lo = hi
+
+
+def _decodes(blob: memoryview) -> bool:
     try:
-        blob.decode("utf-8")
+        str(blob, "utf-8")
     except UnicodeDecodeError:
         return False
     return True
 
 
-def _fold_multipliers(words: int) -> np.ndarray:
-    """Distinct odd 64-bit multipliers, splitmix64 of 1..words."""
-    z = np.arange(1, words + 1, dtype=_U64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31)) | np.uint64(1)
-
-
-def _repeated_key(octets: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
-    """Whether two ids of one byte length fold to the same 64-bit key.
-
-    Every real duplicate gives a repeated key; a repeat of distinct ids only
-    costs the caller its exact check. An id's key is the sum, mod 2**64, of
-    its zero-padded little-endian 8-byte words, each times its own odd
-    multiplier, so ids of up to 8 bytes never share one.
-    """
-    order = np.argsort(lengths, kind="stable")
-    by_length = lengths[order]
-    for rows in np.split(order, np.flatnonzero(by_length[1:] != by_length[:-1]) + 1):
-        if len(rows) < 2:
+def _check_utf8(ids: _IdColumn) -> None:
+    """Raise the IndexFormatError of the first plan id that does not decode
+    on its own as UTF-8. A blob that is not all ASCII is decoded a chunk at
+    a time, so an id longer than a chunk is decoded whole."""
+    octets = np.frombuffer(ids.blob, _U8)
+    if not len(octets) or octets.max() < 0x80:
+        return
+    # The ids of a chunk each decode exactly when the chunk's bytes decode
+    # and none of them starts on a continuation byte (0b10xxxxxx).
+    for lo, hi, start, end in _chunks(ids.ends):
+        if _decodes(ids.blob[start[0] : end[-1]]) and not (octets[start] & 0xC0 == 0x80).any():
             continue
-        length = int(lengths[rows[0]])
-        padded = np.zeros((len(rows), -(-length // 8) * 8), _U8)
-        padded[:, :length] = sliding_window_view(octets, length)[starts[rows]]
-        keys = np.sort(padded.view(_U64) @ _fold_multipliers(padded.shape[1] // 8))
-        if (keys[1:] == keys[:-1]).any():
-            return True
-    return False
+        for row in range(lo, hi):
+            try:
+                ids[row]
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(
+                    f"record {row + 1}", f"plan_id is not valid UTF-8 at byte {exc.start}"
+                ) from exc
+
+
+# splitmix64's increment and finalizer multipliers.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of each word, in place: a bijection of 64-bit
+    words in which every input bit moves about half the output bits."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX[0]
+    z ^= z >> np.uint64(27)
+    z *= _MIX[1]
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _id_keys(data: bytes, pos: int, ends: np.ndarray) -> np.ndarray:
+    """A 64-bit key of each plan id of the id blob at data[pos:], pos >= 8.
+
+    Equal ids get equal keys; distinct ids share one with a chance of about
+    2**-64. An id of L bytes has words 0..c-1, c = ceil(L / 8): word k is the
+    8 bytes from byte 8k, but the last word is the 8 bytes that end the id,
+    so no word reaches past it, and an id under 8 bytes is one word, zero
+    above its bytes. Its key is L * _GOLDEN plus, over its words, the sum of
+    _mix(word k + k * _GOLDEN), mod 2**64. So distinct ids of one length up
+    to 8 bytes never share a key.
+
+    Every word is read through one unaligned uint64 view of data. Keys are
+    computed for chunks of at most _CHUNK_ROWS rows and _CHUNK_BYTES id
+    bytes, or one longer id, whose middle words are summed _CHUNK_BYTES / 8
+    at a time: a call holds the keys and chunk-sized arrays, and takes time
+    linear in the blob size and row count.
+    """
+    n = len(ends)
+    keys = np.empty(n, _U64)
+    if not n:
+        return keys
+    # words[x] is the 8 bytes of data that end at byte x of the blob.
+    words = np.ndarray((int(ends[-1]) + 1,), _U64, data, pos - 8, (1,))
+    for lo, hi, start, end in _chunks(ends):
+        length = end - start
+        count = (length + 7) >> 3
+        key = keys[lo:hi]
+        np.multiply(length.astype(_U64), _GOLDEN, out=key)
+        first = words[np.minimum(start + 8, end)]
+        first >>= ((8 - np.minimum(length, 8)) << 3).astype(_U64)
+        key += _mix(first)
+        last = words[end]
+        last += (count - 1).astype(_U64) * _GOLDEN
+        key += np.where(count > 1, _mix(last), np.uint64(0))
+        middle = count - 2
+        step = _CHUNK_BYTES // 8
+        for k0 in range(1, int(middle.max()) + 1, step):
+            rows = np.flatnonzero(middle >= k0)
+            taken = np.minimum(middle[rows] - (k0 - 1), step)
+            stop = np.cumsum(taken)
+            k = np.arange(k0, k0 + int(stop[-1])) - np.repeat(stop - taken, taken)
+            word = words[np.repeat(start[rows] + 8, taken) + 8 * k]
+            word += k.astype(_U64) * _GOLDEN
+            sums = np.cumsum(_mix(word))[stop - 1]
+            sums[1:] -= sums[:-1]
+            key[rows] += sums
+    return keys
+
+
+def _check_distinct(ids: _IdColumn, data: bytes, pos: int) -> None:
+    """Raise the IndexFormatError of the first plan id equal to an earlier
+    one; ids is the id blob at data[pos:], every id valid UTF-8."""
+    keys = _id_keys(data, pos, ids.ends)
+    keys.sort()
+    # Neighbours are compared a chunk at a time, so no second array of n is held.
+    repeated = np.concatenate([keys[:0]] + [
+        pairs[1:][pairs[1:] == pairs[:-1]]
+        for pairs in (keys[lo - 1 : lo + _CHUNK_ROWS] for lo in range(1, len(keys), _CHUNK_ROWS))
+    ])
+    del keys
+    if len(repeated):
+        _check_rows_distinct(ids, np.flatnonzero(np.isin(_id_keys(data, pos, ids.ends), repeated)))
+
+
+def _check_rows_distinct(ids: Sequence[str], rows: np.ndarray) -> None:
+    """The exact check: raise the IndexFormatError of the first of rows,
+    ascending, whose id an earlier one of rows has."""
+    seen: set[str] = set()
+    for row in rows.tolist():
+        plan_id = ids[row]
+        if plan_id in seen:
+            raise IndexFormatError(f"record {row + 1}", f"duplicate plan_id {_shown(plan_id)}")
+        seen.add(plan_id)
+
+
+def _shown(plan_id: str) -> str:
+    """repr(plan_id), cut to its first 200 characters when longer."""
+    if len(plan_id) <= 200:
+        return repr(plan_id)
+    return f"{plan_id[:200]!r}... ({len(plan_id)} characters)"
 
 
 def _read_v2(data: bytes, pos: int) -> _Columns:
-    """The columns of a v2 file whose blocks start at pos, every record checked."""
+    """The columns of a v2 file whose blocks start at pos, every record
+    checked. The id blob stays in data, as a memoryview."""
     n, blob_size = (int(c) for c in _block(data, pos, "counts", _U64, 2))
     pos += 2 * _U64.itemsize
     blocks = {}
@@ -589,9 +714,8 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
     ):
         blocks[name] = _block(data, pos, name, dtype, n)
         pos += blocks[name].nbytes
-    blob = data[pos : pos + blob_size]
-    if len(blob) < blob_size:
-        raise IndexFormatError("block 'ids'", f"truncated: {len(blob)} of {blob_size} bytes")
+    if len(data) - pos < blob_size:
+        raise IndexFormatError("block 'ids'", f"truncated: {len(data) - pos} of {blob_size} bytes")
     if len(data) > pos + blob_size:
         raise IndexFormatError(
             "block 'ids'", f"followed by {len(data) - pos - blob_size} trailing byte(s)"
@@ -600,13 +724,13 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
     runtime, label = blocks["runtime"], blocks["label"]
     # The mask is check_runtime over the column; check_runtime itself words
     # the first bad record's error.
-    bad = _first(~(np.isfinite(runtime) & (runtime >= 0)))
+    bad = _first_bad(n, lambda lo, hi: np.isfinite(runtime[lo:hi]) & (runtime[lo:hi] >= 0))
     if bad is not None:
         try:
             check_runtime(runtime[bad - 1])
         except InputError as exc:
             raise IndexFormatError(f"record {bad}", str(exc)) from exc
-    bad = _first(label != _classify_column(runtime))
+    bad = _first_bad(n, lambda lo, hi: label[lo:hi] == _classify_column(runtime[lo:hi]))
     if bad is not None:
         value = float(runtime[bad - 1])
         raise IndexFormatError(
@@ -616,36 +740,18 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
         )
 
     ends = blocks["offsets"]
-    starts = np.zeros(n, _U64)
-    starts[1:] = ends[:-1]
-    bad = _first(ends <= starts)
+    bad = _first_bad(n, lambda lo, hi: ends[lo:hi] > _starts(ends, lo, hi))
     if bad is not None:
+        start = int(ends[bad - 2]) if bad > 1 else 0
         raise IndexFormatError(
-            f"record {bad}",
-            f"plan_id offset {ends[bad - 1]} does not follow {starts[bad - 1]}",
+            f"record {bad}", f"plan_id offset {ends[bad - 1]} does not follow {start}"
         )
     last = int(ends[-1]) if n else 0
     if last != blob_size:
         raise IndexFormatError(
             "block 'offsets'", f"last offset {last} is not the id blob size {blob_size}"
         )
-    ids = _IdColumn(blob, starts, ends)
-    octets = np.frombuffer(blob, _U8)
-    # Each id decodes on its own exactly when the whole blob decodes and no
-    # id starts on a UTF-8 continuation byte (0b10xxxxxx).
-    if not _decodes(blob) or (octets[starts] & 0xC0 == 0x80).any():
-        for record, (start, end) in enumerate(zip(starts.tolist(), ends.tolist()), start=1):
-            try:
-                blob[start:end].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise IndexFormatError(
-                    f"record {record}", f"plan_id is not valid UTF-8 at byte {exc.start}"
-                ) from exc
-    if _repeated_key(octets, starts, ends - starts):
-        seen: set[str] = set()
-        for record, plan_id in enumerate(ids, start=1):
-            if plan_id in seen:
-                raise IndexFormatError(f"record {record}", f"duplicate plan_id {plan_id!r}")
-            seen.add(plan_id)
+    ids = _IdColumn(memoryview(data)[pos:], ends)
+    _check_utf8(ids)
+    _check_distinct(ids, data, pos)
     return _Columns(ids, blocks["edge"], blocks["node"], runtime)
-

@@ -8,7 +8,7 @@ of them for the duplicate check. Tests compare `Index.load` against it.
 from __future__ import annotations
 
 from qdaghash.errors import IndexFormatError
-from qdaghash.index import _U64, _block
+from qdaghash.index import _U64, _block, _shown
 
 
 def reference_ids(data: bytes) -> list[str]:
@@ -45,6 +45,24 @@ def reference_ids(data: bytes) -> list[str]:
     seen: set[str] = set()
     for record, plan_id in enumerate(ids, start=1):
         if plan_id in seen:
-            raise IndexFormatError(f"record {record}", f"duplicate plan_id {plan_id!r}")
+            raise IndexFormatError(f"record {record}", f"duplicate plan_id {_shown(plan_id)}")
         seen.add(plan_id)
     return ids
+
+
+def _mix(z: int) -> int:
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 % 2**64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def reference_key(plan_id: bytes) -> int:
+    """The duplicate-check key of plan_id, word by word as _id_keys documents it."""
+    golden = 0x9E3779B97F4A7C15
+    key = len(plan_id) * golden
+    for k in range(-(-len(plan_id) // 8)):
+        at = max(min(8 * k, len(plan_id) - 8), 0)
+        key += _mix((int.from_bytes(plan_id[at : at + 8], "little") + k * golden) % 2**64)
+    return key % 2**64

@@ -9,16 +9,18 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import rewrite_header
-from index_reference import reference_ids
+from index_reference import reference_ids, reference_key
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -686,12 +688,18 @@ def test_fuzzed_v2_file_fails_only_with_typed_errors(data):
 
 # -- plan ids of a loaded v2 file ------------------------------------------------------
 
-# Ids of 1-40 UTF-8 bytes: many of one length from a two-letter alphabet,
-# and any characters, cut at 40 bytes on a character boundary.
-PLAN_ID_TEXT = st.one_of(
-    st.text("ab", min_size=1, max_size=40),
-    st.text(st.characters(codec="utf-8"), min_size=1, max_size=40),
-).map(lambda text: text.encode()[:40].decode("utf-8", "ignore"))
+# Ids as bytes: ASCII ids of 1-120 bytes, many of one length from a
+# two-letter alphabet (past 16 bytes an id has middle words); any characters,
+# cut at 40 bytes on a character boundary; and raw bytes, which may start on
+# a continuation byte or not decode at all.
+PLAN_ID_BYTES = st.one_of(
+    st.text("ab", min_size=1, max_size=40).map(str.encode),
+    st.text("ab", min_size=41, max_size=120).map(str.encode),
+    st.text(st.characters(codec="utf-8"), min_size=1, max_size=40).map(
+        lambda text: text.encode()[:40].decode("utf-8", "ignore").encode() or b"x"
+    ),
+    st.binary(min_size=1, max_size=12),
+)
 
 # Lone continuation bytes, lead bytes, the surrogate lead 0xED and bytes
 # that never occur in UTF-8.
@@ -707,6 +715,11 @@ def v2_file(blob, ends):
         f"<2Q{n}Q{n}Q{n}d{n}Q", n, len(blob), *range(n), *range(n), *[1.0] * n, *ends
     )
     return header.encode() + b"\n" + columns + bytes(n) + blob
+
+
+def v2_file_of(ids):
+    """v2_file of these plan ids, as bytes."""
+    return v2_file(b"".join(ids), list(itertools.accumulate(map(len, ids))))
 
 
 def loaded_ids(path):
@@ -728,12 +741,11 @@ def outcome(read, *args):
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_v2_plan_ids_load_as_the_per_record_reference(data):
-    ids = data.draw(st.lists(PLAN_ID_TEXT, max_size=12, unique=True))
+    ids = data.draw(st.lists(PLAN_ID_BYTES, max_size=12, unique=True))
     for _ in range(data.draw(st.integers(0, 2)) if ids else 0):
         ids.insert(data.draw(st.integers(0, len(ids))), data.draw(st.sampled_from(ids)))
-    encoded = [plan_id.encode() for plan_id in ids]
-    ends = list(itertools.accumulate(map(len, encoded)))
-    blob = bytearray(b"".join(encoded))
+    ends = list(itertools.accumulate(map(len, ids)))
+    blob = bytearray(b"".join(ids))
     for _ in range(data.draw(st.integers(0, 2)) if ends else 0):
         # Most often this splits a character, or makes two ids equal.
         row = data.draw(st.integers(0, len(ends) - 1))
@@ -741,27 +753,146 @@ def test_v2_plan_ids_load_as_the_per_record_reference(data):
     for _ in range(data.draw(st.integers(0, 1)) if blob else 0):
         blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.sampled_from(BAD_UTF8_BYTES))
     file = v2_file(bytes(blob), ends)
-    with tempfile.TemporaryDirectory() as tmp:
+    # Chunks of a few rows and bytes, so that small files span many chunks
+    # and ids longer than a chunk occur.
+    rows, size = data.draw(st.sampled_from([(index_module._CHUNK_ROWS, index_module._CHUNK_BYTES), (1, 8), (3, 16), (2, 32)]))
+    chunks = {"_CHUNK_ROWS": rows, "_CHUNK_BYTES": size}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(index_module, **chunks):
         path = Path(tmp) / "idx.qdx"
         path.write_bytes(file)
         assert outcome(loaded_ids, path) == outcome(reference_ids, file)
 
 
+def load_with_every_key_equal(path, monkeypatch):
+    """outcome(loaded_ids, path) with every id key forced equal, and the
+    rows the exact check was given."""
+    checked = []
+    exact_check = index_module._check_rows_distinct
+
+    def spy(ids, rows):
+        checked.append(rows.tolist())
+        exact_check(ids, rows)
+
+    monkeypatch.setattr(index_module, "_id_keys", lambda data, pos, ends: np.zeros(len(ends), np.uint64))
+    monkeypatch.setattr(index_module, "_check_rows_distinct", spy)
+    return outcome(loaded_ids, path), checked
+
+
+REPEATED_KEY_IDS = [f"plan-{i:03d}-é".encode() for i in range(40)] + [b"a", b"b"]
+
+
 def test_a_repeated_key_without_a_duplicate_still_loads(tmp_path, monkeypatch):
-    index = five_record_index()
-    for i in range(40):
-        index.add(record(f"plan-{i:03d}-é", i, i, 1.0))
+    path = tmp_path / "idx.qdx"
+    path.write_bytes(v2_file_of(REPEATED_KEY_IDS))
+    loaded, checked = load_with_every_key_equal(path, monkeypatch)
+    assert loaded == [plan_id.decode() for plan_id in REPEATED_KEY_IDS]
+    assert checked == [list(range(len(REPEATED_KEY_IDS)))]
+
+
+def test_a_duplicate_under_a_repeated_key_is_refused_as_the_reference_says(tmp_path, monkeypatch):
+    ids = list(REPEATED_KEY_IDS)
+    ids[30] = ids[7]
+    ids[35] = ids[7]
+    path = tmp_path / "idx.qdx"
+    path.write_bytes(v2_file_of(ids))
+    refused, checked = load_with_every_key_equal(path, monkeypatch)
+    assert refused == outcome(reference_ids, path.read_bytes())
+    assert refused == ("record 31", "index file record 31: duplicate plan_id 'plan-007-é'")
+    assert checked == [list(range(len(ids)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.binary(min_size=1, max_size=60), max_size=20),
+    st.sampled_from([(index_module._CHUNK_ROWS, index_module._CHUNK_BYTES), (1, 8), (3, 16), (2, 32)]),
+)
+def test_id_keys_are_the_documented_sum_over_words(ids, chunk):
+    file = v2_file_of(ids)
+    pos = len(file) - sum(map(len, ids))
+    ends = np.array(list(itertools.accumulate(map(len, ids))), np.uint64)
+    rows, size = chunk
+    chunks = {"_CHUNK_ROWS": rows, "_CHUNK_BYTES": size}
+    with mock.patch.multiple(index_module, **chunks):
+        keys = index_module._id_keys(file, pos, ends)
+    assert keys.tolist() == [reference_key(plan_id) for plan_id in ids]
+
+
+def linear_fold_key(plan_id):
+    """The duplicate key of the per-length fold that Index.load used before:
+    the zero-padded little-endian 8-byte words times odd multipliers, summed
+    mod 2**64."""
+    padded = plan_id + bytes(-len(plan_id) % 8)
+    z = np.arange(1, len(padded) // 8 + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    multipliers = z ^ (z >> np.uint64(31)) | np.uint64(1)
+    return int(np.frombuffer(padded, np.uint64) @ multipliers)
+
+
+def test_ids_that_shared_a_linear_fold_key_load_without_the_exact_check(tmp_path, monkeypatch):
+    ids = [b"rand-0249364-b5c2f", b"rand-0969364-b0c2f"]
+    assert linear_fold_key(ids[0]) == linear_fold_key(ids[1])
+    path = tmp_path / "idx.qdx"
+    path.write_bytes(v2_file_of(ids))
+    checked = []
+    monkeypatch.setattr(index_module, "_check_rows_distinct", lambda *args: checked.append(args))
+    assert loaded_ids(path) == [plan_id.decode() for plan_id in ids]
+    assert checked == []
+
+
+@pytest.mark.parametrize("length,shown", [
+    (200, repr("x" * 200)),
+    (201, repr("x" * 200) + "... (201 characters)"),
+    (300_000, repr("x" * 200) + "... (300000 characters)"),
+], ids=["200", "201", "300000"])
+def test_a_duplicate_plan_id_is_echoed_up_to_200_characters(tmp_path, length, shown):
+    path = tmp_path / "idx.qdx"
+    path.write_bytes(v2_file_of([b"x" * length, b"y", b"x" * length]))
+    error = load_error(path, path.read_bytes())
+    assert str(error) == f"index file record 3: duplicate plan_id {shown}"
+    assert outcome(reference_ids, path.read_bytes()) == (error.where, str(error))
+
+
+@pytest.mark.parametrize("key,value,kind", [
+    ("hash_algo", list(range(200_000)), "list"),
+    ("version", "9" * 1_000_000, "str"),
+    ("operator_registry", {"x": "y" * 100_000}, "dict"),
+], ids=["hash_algo", "version", "operator_registry"])
+def test_a_huge_header_value_makes_one_short_error_line(tmp_path, capsys, key, value, kind):
+    path = saved_index(tmp_path)
+    rewrite_header(path, lambda header: header.update({key: value}))
+    assert main(["index", "show", "--index", str(path)]) == 1
+    must_be = "an integer" if key == "version" else "a string"
+    assert capsys.readouterr() == (
+        "", f"error: index file line 1: bad header: {key!r} must be {must_be}, got {kind}\n"
+    )
+
+
+def test_a_100k_record_load_holds_about_the_file_size_of_memory(tmp_path):
+    rng = np.random.default_rng(17)
+    index = Index.new(FingerprintConfig())
+    for i, (edge, node) in enumerate(rng.integers(0, 1 << 63, (100_000, 2)).tolist()):
+        index.add(record(f"rand-{i:06d}", edge, node, float(i % 300)))
     path = tmp_path / "idx.qdx"
     index.save(path)
-    calls = []
-
-    def always_repeated(*args):
-        calls.append(args)
-        return True
-
-    monkeypatch.setattr(index_module, "_repeated_key", always_repeated)
-    assert loaded_ids(path) == [r.plan_id for r in index.records()]
-    assert len(calls) == 1
+    load = (
+        "import resource, sys\n"
+        "from qdaghash.index import Index\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert len(Index.load(sys.argv[1])) == 100_000\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    # On Linux a process's ru_maxrss starts at its parent's RSS at fork, and
+    # this test process is larger than the load; so the load runs in a
+    # grandchild, forked by a fresh interpreter.
+    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    src = str(Path(index_module.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", launch, "-c", load, str(path)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    grown = int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    assert grown <= 1.25 * path.stat().st_size + 2 * 2**20
 
 
 # -- concurrency smoke ------------------------------------------------------------------
