@@ -39,16 +39,16 @@ them.
 Index.load reads the blocks with np.frombuffer and checks every record
 column-wise (see _read_v2), plan ids included, with no Python object per
 record and no copy of a block: the id blob stays a view of the file bytes,
-and beside them a load holds only the keys of the duplicate check and
-chunk-sized arrays. The ids are valid UTF-8 when the blob is all ASCII, or
-else when it decodes and no id starts on a continuation byte. They are
-distinct when no two share a 64-bit key mixed from their 8-byte words
-(_id_keys); only ids whose key repeats are decoded for the exact check.
-The loaded ids are decoded one at a time when read, so a match decodes
-only its candidates; the first add turns them into a list. Loading a
-100,000-record index of 4.2 MB takes 8.5-12 ms and lifts peak RSS by
-6.1 MB over import; a 1M-record one, the file plus 8.8 MB (2-core Xeon
-VM, BENCH_17.json).
+and beside them a load holds only the keys of the duplicate check, the
+mask of their sorted neighbours and chunk-sized arrays. The ids are valid
+UTF-8 when the blob decodes, a chunk at a time, and no id starts on a
+continuation byte. They are distinct when no two share a 64-bit key mixed
+from their 8-byte words (_id_keys); only ids whose key repeats are
+decoded for the exact check. The loaded ids are decoded one at a time
+when read, so a match decodes only its candidates; the first add turns
+them into a list. Loading a 100,000-record index of 4.2 MB takes
+12.5-14 ms and lifts peak RSS by 5.9-6.3 MB over import; a 1M-record one
+holds the file plus 9.6-9.8 MB (2-core Xeon VM, BENCH_17.json).
 
 Load refuses every other format version. Save writes a temporary file
 beside the target, fsyncs it and renames it over the target, so a crash
@@ -268,7 +268,7 @@ _NOT_CANDIDATE = (1 << 63) - 1  # the largest int64
 
 # Ids are checked and keyed a chunk of at most this many rows and id bytes
 # at a time, so that a load holds no array of the record count beside the
-# file bytes but the keys.
+# file bytes but the keys and their neighbour mask.
 _CHUNK_ROWS = 1 << 13
 _CHUNK_BYTES = 1 << 17
 
@@ -289,6 +289,7 @@ class _IdColumn(Sequence[str]):
         return len(self.ends)
 
     def __getitem__(self, row: int) -> str:  # type: ignore[override]
+        row = range(len(self.ends))[row]
         start = self.ends[row - 1] if row else 0
         return str(self.blob[start : self.ends[row]], "utf-8")
 
@@ -586,11 +587,9 @@ def _decodes(blob: memoryview) -> bool:
 
 def _check_utf8(ids: _IdColumn) -> None:
     """Raise the IndexFormatError of the first plan id that does not decode
-    on its own as UTF-8. A blob that is not all ASCII is decoded a chunk at
-    a time, so an id longer than a chunk is decoded whole."""
+    on its own as UTF-8. The blob is decoded a chunk at a time, so an id
+    longer than a chunk is decoded whole."""
     octets = np.frombuffer(ids.blob, _U8)
-    if not len(octets) or octets.max() < 0x80:
-        return
     # The ids of a chunk each decode exactly when the chunk's bytes decode
     # and none of them starts on a continuation byte (0b10xxxxxx).
     for lo, hi, start, end in _chunks(ids.ends):
@@ -675,11 +674,7 @@ def _check_distinct(ids: _IdColumn, data: bytes, pos: int) -> None:
     one; ids is the id blob at data[pos:], every id valid UTF-8."""
     keys = _id_keys(data, pos, ids.ends)
     keys.sort()
-    # Neighbours are compared a chunk at a time, so no second array of n is held.
-    repeated = np.concatenate([keys[:0]] + [
-        pairs[1:][pairs[1:] == pairs[:-1]]
-        for pairs in (keys[lo - 1 : lo + _CHUNK_ROWS] for lo in range(1, len(keys), _CHUNK_ROWS))
-    ])
+    repeated = keys[1:][keys[1:] == keys[:-1]]
     del keys
     if len(repeated):
         _check_rows_distinct(ids, np.flatnonzero(np.isin(_id_keys(data, pos, ids.ends), repeated)))

@@ -778,6 +778,16 @@ def load_with_every_key_equal(path, monkeypatch):
     return outcome(loaded_ids, path), checked
 
 
+def test_loaded_ids_read_by_negative_row(tmp_path):
+    path = tmp_path / "idx.qdx"
+    path.write_bytes(v2_file_of([b"a", "é".encode(), b"ccc"]))
+    ids = Index.load(path)._columns().ids
+    assert [ids[row] for row in (-3, -2, -1)] == ["a", "é", "ccc"]
+    for row in (-4, 3):
+        with pytest.raises(IndexError):
+            ids[row]
+
+
 REPEATED_KEY_IDS = [f"plan-{i:03d}-é".encode() for i in range(40)] + [b"a", b"b"]
 
 
@@ -892,7 +902,14 @@ def test_a_100k_record_load_holds_about_the_file_size_of_memory(tmp_path):
         timeout=60, env={**os.environ, "PYTHONPATH": src}, check=True,
     )
     grown = int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
-    assert grown <= 1.25 * path.stat().st_size + 2 * 2**20
+    # The file is 4.4 MB and the bound 7.6 MB. On a 2-core Xeon VM the load
+    # grew 6.4-6.6 MB (0.85-0.87 of the bound), and the per-length fold it
+    # replaced grew 13.5 MB.
+    bound = 1.25 * path.stat().st_size + 2 * 2**20
+    assert grown <= bound, (
+        f"load grew peak RSS by {grown / 1e6:.2f} MB, {grown / bound:.2f} of the "
+        f"{bound / 1e6:.2f} MB bound for a {path.stat().st_size / 1e6:.2f} MB file"
+    )
 
 
 # -- concurrency smoke ------------------------------------------------------------------
