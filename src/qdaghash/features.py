@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import SchemaViolation
 from .operators import operator_code
 from .qdag import PlanNode, QDag
 from .simhash import simhash_runs, string_hashes64
@@ -100,10 +101,13 @@ def _canonical_string(code: int, properties: Mapping[str, object]) -> str:
     rest keep the absent value 0."""
     parts = _ABSENT.copy()
     parts[0] = str(code)
-    for key, raw in properties.items():
-        slot = _SLOT_OF_KEY.get(key)
-        if slot is not None:
-            parts[slot] = str(_slot_value(key, raw))
+    try:
+        for key, raw in properties.items():
+            slot = _SLOT_OF_KEY.get(key)
+            if slot is not None:
+                parts[slot] = str(_slot_value(key, raw))
+    except ValueError as exc:  # a value with more digits than str() renders
+        raise SchemaViolation(key, "value has too many digits to render as text") from exc
     return "|".join(parts)
 
 

@@ -37,18 +37,20 @@ Save writes the label block from the runtimes, and load checks it against
 them.
 
 Index.load reads the blocks with np.frombuffer and checks every record
-column-wise (see _read_v2), plan ids included, with no Python object per
-record and no copy of a block: the id blob stays a view of the file bytes,
-and beside them a load holds only the keys of the duplicate check, the
-mask of their sorted neighbours and chunk-sized arrays. The ids are valid
-UTF-8 when the blob decodes, a chunk at a time, and no id starts on a
-continuation byte. They are distinct when no two share a 64-bit key mixed
-from their 8-byte words (_id_keys); only ids whose key repeats are
-decoded for the exact check. The loaded ids are decoded one at a time
-when read, so a match decodes only its candidates; the first add turns
-them into a list. Loading a 100,000-record index of 4.2 MB takes
-12.5-14 ms and lifts peak RSS by 5.9-6.3 MB over import; a 1M-record one
-holds the file plus 9.6-9.8 MB (2-core Xeon VM, BENCH_17.json).
+(see _read_v2), plan ids included, with no Python object per record and no
+copy of a block: the id blob stays a view of the file bytes. The runtime,
+label and offsets blocks are checked as whole columns, and beside the file
+bytes a load holds at most 9 bytes per record at any time (the label
+check's classification and mask, then the duplicate check's keys and the
+mask of their sorted neighbours) plus the chunk-sized arrays of the id
+walk. The ids are valid UTF-8 when the blob decodes, a chunk at a time,
+and no id starts on a continuation byte. They are distinct when no two
+share a 64-bit key mixed from their 8-byte words (_id_keys); only ids
+whose key repeats are decoded for the exact check. The loaded ids are
+decoded one at a time when read, so a match decodes only its candidates;
+the first add turns them into a list. Loading a 100,000-record index of 4.2 MiB takes
+9-13 ms and lifts peak RSS by 6.2-6.3 MiB over import; a 1M-record one
+holds the file plus 10.0-10.1 MiB (2-core Xeon VM, BENCH_18.json).
 
 Load refuses every other format version. Save writes a temporary file
 beside the target, fsyncs it and renames it over the target, so a crash
@@ -70,7 +72,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -267,8 +269,8 @@ _NOT_CANDIDATE = (1 << 63) - 1  # the largest int64
 
 
 # Ids are checked and keyed a chunk of at most this many rows and id bytes
-# at a time, so that a load holds no array of the record count beside the
-# file bytes but the keys and their neighbour mask.
+# at a time, which bounds the per-row temporaries of reading id bytes; the
+# fixed-width blocks are checked as whole columns.
 _CHUNK_ROWS = 1 << 13
 _CHUNK_BYTES = 1 << 17
 
@@ -385,8 +387,8 @@ class Index:
         self._lock = threading.Lock()
         # An _IdColumn after a load, a list from the first add on.
         self._ids: Sequence[str] = []
-        # plan_id -> row; None after a load until the first add needs it.
-        self._row_of: dict[str, int] | None = {}
+        # plan_id -> row; None until the first add builds it.
+        self._row_of: dict[str, int] | None = None
         self._frozen = _Columns.of(())
         # Rows added or replaced since _frozen was built, folded in by _columns.
         self._pending: dict[int, tuple[int, int, float]] = {}
@@ -503,7 +505,6 @@ class Index:
         columns = _read_v2(data, body)
         index._ids = columns.ids
         index._frozen = columns
-        index._row_of = None
         return index
 
 
@@ -547,22 +548,9 @@ def _block(data: bytes, pos: int, name: str, dtype: np.dtype, count: int) -> np.
     return np.frombuffer(data, dtype, count, pos)
 
 
-def _first_bad(n: int, ok: Callable[[int, int], np.ndarray]) -> int | None:
-    """The 1-based number of the first of n records that is not ok; ok(lo,
-    hi) says which of rows lo..hi-1 are, for a chunk of rows at a time."""
-    for lo in range(0, n, _CHUNK_ROWS):
-        chunk = ok(lo, min(lo + _CHUNK_ROWS, n))
-        if not chunk.all():
-            return lo + int(chunk.argmin()) + 1
-    return None
-
-
-def _starts(ends: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The start offsets of rows lo..hi-1 of an id blob whose rows end at ends."""
-    start = np.empty(hi - lo, ends.dtype)
-    start[:1] = ends[lo - 1] if lo else 0
-    start[1:] = ends[lo : hi - 1]
-    return start
+def _first_false(ok: np.ndarray) -> int | None:
+    """The 1-based number of the first record whose entry in ok is False."""
+    return None if ok.all() else int(ok.argmin()) + 1
 
 
 def _chunks(ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -571,18 +559,12 @@ def _chunks(ends: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray
     _CHUNK_BYTES bytes, or of one longer id."""
     lo = 0
     while lo < len(ends):
-        limit = np.uint64((int(ends[lo - 1]) if lo else 0) + _CHUNK_BYTES)
+        first = int(ends[lo - 1]) if lo else 0
+        limit = np.uint64(first + _CHUNK_BYTES)
         hi = min(lo + _CHUNK_ROWS, max(lo + 1, int(np.searchsorted(ends, limit, "right"))))
-        yield lo, hi, _starts(ends, lo, hi).astype(np.int64), ends[lo:hi].astype(np.int64)
+        end = ends[lo:hi].astype(np.int64)
+        yield lo, hi, np.concatenate(([first], end[:-1])), end
         lo = hi
-
-
-def _decodes(blob: memoryview) -> bool:
-    try:
-        str(blob, "utf-8")
-    except UnicodeDecodeError:
-        return False
-    return True
 
 
 def _check_utf8(ids: _IdColumn) -> None:
@@ -593,8 +575,10 @@ def _check_utf8(ids: _IdColumn) -> None:
     # The ids of a chunk each decode exactly when the chunk's bytes decode
     # and none of them starts on a continuation byte (0b10xxxxxx).
     for lo, hi, start, end in _chunks(ids.ends):
-        if _decodes(ids.blob[start[0] : end[-1]]) and not (octets[start] & 0xC0 == 0x80).any():
-            continue
+        with contextlib.suppress(UnicodeDecodeError):
+            str(ids.blob[start[0] : end[-1]], "utf-8")
+            if not (octets[start] & 0xC0 == 0x80).any():
+                continue
         for row in range(lo, hi):
             try:
                 ids[row]
@@ -709,23 +693,22 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
     ):
         blocks[name] = _block(data, pos, name, dtype, n)
         pos += blocks[name].nbytes
-    if len(data) - pos < blob_size:
-        raise IndexFormatError("block 'ids'", f"truncated: {len(data) - pos} of {blob_size} bytes")
+    _block(data, pos, "ids", _U8, blob_size)
     if len(data) > pos + blob_size:
         raise IndexFormatError(
             "block 'ids'", f"followed by {len(data) - pos - blob_size} trailing byte(s)"
         )
 
-    runtime, label = blocks["runtime"], blocks["label"]
+    runtime, label, ends = blocks["runtime"], blocks["label"], blocks["offsets"]
     # The mask is check_runtime over the column; check_runtime itself words
     # the first bad record's error.
-    bad = _first_bad(n, lambda lo, hi: np.isfinite(runtime[lo:hi]) & (runtime[lo:hi] >= 0))
+    bad = _first_false(np.isfinite(runtime) & (runtime >= 0))
     if bad is not None:
         try:
             check_runtime(runtime[bad - 1])
         except InputError as exc:
             raise IndexFormatError(f"record {bad}", str(exc)) from exc
-    bad = _first_bad(n, lambda lo, hi: label[lo:hi] == _classify_column(runtime[lo:hi]))
+    bad = _first_false(label == _classify_column(runtime))
     if bad is not None:
         value = float(runtime[bad - 1])
         raise IndexFormatError(
@@ -733,9 +716,7 @@ def _read_v2(data: bytes, pos: int) -> _Columns:
             f"label {label[bad - 1]} does not match runtime {value} "
             f"({classify_runtime(value).display})",
         )
-
-    ends = blocks["offsets"]
-    bad = _first_bad(n, lambda lo, hi: ends[lo:hi] > _starts(ends, lo, hi))
+    bad = _first_false(np.concatenate((ends[:1] > 0, ends[1:] > ends[:-1])))
     if bad is not None:
         start = int(ends[bad - 2]) if bad > 1 else 0
         raise IndexFormatError(

@@ -491,16 +491,21 @@ def _resolution_order(
     """Order reuse nodes so inner references expand before outer ones, and
     size each one's copy: the plain nodes of its target's closure plus the
     copy of each reuse node in that closure, capped one past the budget,
-    which a copy of that size already fails."""
+    which a copy of that size already fails. Both depend only on the
+    target, so each distinct target's closure is walked once."""
     reuse_set = set(reuse_ids)
+    walked: dict[int, tuple[set[int], int]] = {}  # target -> inner, plain size
     inner_of: dict[int, set[int]] = {}
     copy_size: dict[int, int] = {}  # plain nodes first, then the whole copy
     for rid in reuse_ids:
-        closure = _feeding_closure(targets[rid], preds)
-        inner = inner_of[rid] = closure & reuse_set
-        if rid in inner:
+        target = targets[rid]
+        if target not in walked:
+            closure = _feeding_closure(target, preds)
+            inner = closure & reuse_set
+            walked[target] = inner, len(closure) - len(inner)
+        inner_of[rid], copy_size[rid] = walked[target]
+        if rid in inner_of[rid]:
             raise ReferenceCycle([rid, rid])
-        copy_size[rid] = len(closure) - len(inner)
     # Each inner reuse node expands before the reuse node whose copy holds it.
     dep_edges = [(other, rid) for rid, inner in inner_of.items() for other in inner]
     try:

@@ -75,6 +75,27 @@ def test_json_nested_past_the_recursion_limit_exits_2_and_names_the_file(tmp_pat
     assert "deep.json" in capsys.readouterr().err
 
 
+# Python reads an int of 4,300 digits, but the power of two it rounds up to
+# has 4,301, more than str() renders.
+HUGE_ROW_WIDTH = "9" * 4300
+
+
+@pytest.mark.parametrize("name,text", [
+    ("wide.json", '{"plan_id": "wide", "nodes": [{"id": 0, "operator": "Scan", "fact": "Scan t",'
+                  f' "properties": {{"row_width": {HUGE_ROW_WIDTH}}}}}], "edges": []}}'),
+    ("wide.plan", f"Scan t row_width={HUGE_ROW_WIDTH}\n"),
+], ids=["json", "text"])
+def test_a_row_width_too_long_to_render_exits_2_and_names_it(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("fingerprint", path) == 2
+    assert capsys.readouterr().err == (
+        "error: schema violation on field 'row_width': "
+        "value has too many digits to render as text\n"
+    )
+    assert run_cli("fingerprint", path, "--approach", "ngram") == 0
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("predict", "--k", "0"),
     ("match", "--top", "-1"),

@@ -648,6 +648,39 @@ def test_v2_non_increasing_offsets_rejected(tmp_path):
     assert error.where == "record 3"
 
 
+# Past the 8,192 rows that the id walk takes at a time.
+MANY_IDS = [f"p{i:05d}".encode() for i in range(10_000)]
+
+
+def damaged_many(runtimes=(), labels=(), ends=()):
+    """v2_file_of(MANY_IDS) with these (record, value) runtimes, labels and
+    id offsets written over the stored ones, records counted from 1."""
+    data = bytearray(v2_file_of(MANY_IDS))
+    spans = v2_spans(data)
+    for record_no, value in runtimes:
+        struct.pack_into("<d", data, spans["runtime"][0] + 8 * (record_no - 1), value)
+    for record_no, value in labels:
+        data[spans["label"][0] + record_no - 1] = value
+    for record_no, value in ends:
+        struct.pack_into("<Q", data, spans["offsets"][0] + 8 * (record_no - 1), value)
+    return data
+
+
+@pytest.mark.parametrize("damage,where,message", [
+    # The runtime check comes before the label check, at any record.
+    (dict(runtimes=[(9000, math.inf)], labels=[(3, ComplexityLabel.MEDIUM)]),
+     "record 9000", "runtime_seconds must be finite, got inf"),
+    (dict(labels=[(8193, ComplexityLabel.COMPLEX)]),
+     "record 8193", "label 2 does not match runtime 1.0 (Simple)"),
+    # Every id is 6 bytes, so record 8,199 ends at byte 49,194.
+    (dict(ends=[(8200, 6 * 8199)]),
+     "record 8200", "plan_id offset 49194 does not follow 49194"),
+], ids=["runtime-before-label", "label", "offsets"])
+def test_a_load_names_the_first_bad_record_past_8192_rows(tmp_path, damage, where, message):
+    error = load_error(tmp_path / "idx.qdx", damaged_many(**damage))
+    assert (error.where, str(error)) == (where, f"index file {where}: {message}")
+
+
 def test_deeply_nested_json_header_rejected(tmp_path):
     path = saved_index(tmp_path)
     path.write_bytes(b"[" * 100_000 + b"\n" + path.read_bytes().split(b"\n", 1)[1])
@@ -903,7 +936,7 @@ def test_a_100k_record_load_holds_about_the_file_size_of_memory(tmp_path):
     )
     grown = int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
     # The file is 4.4 MB and the bound 7.6 MB. On a 2-core Xeon VM the load
-    # grew 6.4-6.6 MB (0.85-0.87 of the bound), and the per-length fold it
+    # grew 6.4-6.5 MB (0.84-0.86 of the bound), and the per-length fold it
     # replaced grew 13.5 MB.
     bound = 1.25 * path.stat().st_size + 2 * 2**20
     assert grown <= bound, (
