@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
-from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_document
-from .fingerprint import fingerprint_documents
+from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_documents
 from .forkmap import fork_map
 from .index import Index, IndexHeader, IndexRecord, require_compatible
 from .ingest import PlanDocument, corpus_files, load_corpus, load_plan_file
@@ -123,14 +122,30 @@ def _config_from_args(
 
 
 def _load_plan(path: str | Path, require_runtime: bool = False) -> PlanDocument:
-    """load_plan_file, with the offending filename in any error message."""
+    """load_plan_file, with the file named in any input error; a missing file
+    is one."""
     try:
         doc = load_plan_file(path)
+    except FileNotFoundError:
+        raise CorpusLoadError(f"no such path: {path}") from None
     except InputError as exc:
         raise CorpusLoadError(f"{path}: {exc}") from exc
     if require_runtime and doc.runtime_seconds is None:
         raise MissingRuntime(doc.plan_id)
     return doc
+
+
+def _fingerprint_plan(
+    path: str | Path, config: FingerprintConfig, require_runtime: bool = False
+) -> FingerprintedPlan:
+    """The plan at path, loaded and fingerprinted alone, so that an error in
+    either step names the file."""
+    doc = _load_plan(path, require_runtime)
+    try:
+        (plan,) = fingerprint_documents([doc], config)
+    except InputError as exc:
+        raise CorpusLoadError(f"{path}: {exc}") from exc
+    return plan
 
 
 def _fingerprint_files(
@@ -147,7 +162,14 @@ def _fingerprint_batch(
     """The plans at paths in order, forked; if anything failed there, one at a
     time here, so the first bad plan raises with the plans before it done."""
     files = partial(_fingerprint_files, config=config, require_runtime=require_runtime)
-    return fork_map(files, paths) or (plan for path in paths for plan in files([path]))
+    return fork_map(files, paths) or (_fingerprint_plan(p, config, require_runtime) for p in paths)
+
+
+def _probe(args: argparse.Namespace) -> tuple[Index, FingerprintConfig, FingerprintedPlan]:
+    """match's and predict's index, the config it fixes, and their plan."""
+    index = Index.load(args.index)
+    config = _config_from_args(args, index.header)
+    return index, config, _fingerprint_plan(args.plan, config)
 
 
 @contextlib.contextmanager
@@ -177,23 +199,16 @@ def cmd_fingerprint(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     stamp = IndexHeader.for_config(config)
     for plan_id, fp, _ in _fingerprint_batch(args.plans, config, require_runtime=False):
-        if args.json:
-            print(json.dumps({
-                "plan_id": plan_id,
-                "approach": stamp.approach,
-                "hash_algo": stamp.hash_algo,
-                "node_config": stamp.node_config,
-                "edge_layout": stamp.edge_layout_version,
-                "edge_fp": fp.edge_hex,
-                "node_fp": fp.node_hex,
-            }))
-        else:
-            print(
-                f"plan_id={plan_id} approach={stamp.approach} "
-                f"hash_algo={stamp.hash_algo} node_config={stamp.node_config} "
-                f"edge_layout={stamp.edge_layout_version} "
-                f"edge_fp={fp.edge_hex} node_fp={fp.node_hex}"
-            )
+        line = {
+            "plan_id": plan_id,
+            "approach": stamp.approach,
+            "hash_algo": stamp.hash_algo,
+            "node_config": stamp.node_config,
+            "edge_layout": stamp.edge_layout_version,
+            "edge_fp": fp.edge_hex,
+            "node_fp": fp.node_hex,
+        }
+        print(json.dumps(line) if args.json else " ".join(f"{k}={v}" for k, v in line.items()))
     return 0
 
 
@@ -245,10 +260,7 @@ def cmd_index_show(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    index = Index.load(args.index)
-    config = _config_from_args(args, index.header)
-    doc = _load_plan(args.plan)
-    fp = fingerprint_document(doc, config)
+    index, config, (plan_id, fp, _) = _probe(args)
     results = index.match(fp, k=args.k, top_n=args.top)
     if args.json:
         print(json.dumps([
@@ -262,7 +274,7 @@ def cmd_match(args: argparse.Namespace) -> int:
             for m in results
         ], indent=2))
         return 0
-    print(f"matches for {doc.plan_id} (approach={config.approach}, k={args.k}):")
+    print(f"matches for {plan_id} (approach={config.approach}, k={args.k}):")
     for rank, m in enumerate(results, start=1):
         print(
             f"  {rank}. {m.plan_id:<24} edge_distance={m.edge_distance:<3} "
@@ -273,14 +285,11 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    index = Index.load(args.index)
-    config = _config_from_args(args, index.header)
-    doc = _load_plan(args.plan)
-    fp = fingerprint_document(doc, config)
+    index, _, (plan_id, fp, _) = _probe(args)
     label, evidence = index.predict(fp, k=args.k)
     if args.json:
         print(json.dumps({
-            "plan_id": doc.plan_id,
+            "plan_id": plan_id,
             "predicted_label": label.display,
             "neighbor": evidence.plan_id,
             "edge_distance": evidence.edge_distance,
@@ -289,7 +298,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         }))
         return 0
     print(
-        f"{doc.plan_id}: predicted={label.display} "
+        f"{plan_id}: predicted={label.display} "
         f"(nearest neighbor {evidence.plan_id}, edge_distance={evidence.edge_distance}, "
         f"node_distance={evidence.node_distance}, neighbor_runtime={evidence.runtime_seconds:g}s)"
     )

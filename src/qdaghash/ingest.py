@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from .errors import (
     CorpusLoadError,
@@ -435,16 +436,21 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
         preds[v].append(u)
         if u in succs:
             succs[u].append(v)
-    budget = max(MAX_EXPANDED_NODES, EXPANSION_FACTOR * len(nodes))
-    order, copy_size = _resolution_order(preds, reuse_ids, targets, budget)
+    order = _resolution_order(graph.edges, targets, preds)
 
-    # The copy loop's checks, in its order, before it copies anything.
+    # The copy loop's checks, in its order, before any copy. Each walk stops past
+    # the budget; a reuse node it meets came earlier: no inputs, a known size.
+    budget = max(MAX_EXPANDED_NODES, EXPANSION_FACTOR * len(nodes))
     size = len(nodes)
+    copy_size: dict[int, int] = {}
     for rid in order:
         if preds[rid]:
             raise UnresolvedReference(rid, "reuse node must not have incoming edges")
-        if size - 1 + copy_size[rid] > budget:
-            raise ExpansionTooLarge(len(graph.nodes), budget)
+        copy_size[rid] = 0
+        for old in _feeding_closure(targets[rid], preds):
+            copy_size[rid] += copy_size.get(old, 1)
+            if size - 1 + copy_size[rid] > budget:
+                raise ExpansionTooLarge(len(graph.nodes), budget)
         size += copy_size[rid] - 1
 
     next_id = max(nodes) + 1
@@ -470,52 +476,45 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
     return replace(doc, graph=QDag(graph.id, tuple(nodes.values()), edges))
 
 
-def _feeding_closure(root: int, preds: dict[int, list[int]]) -> set[int]:
-    """root plus every node with a data-flow path into root."""
+def _feeding_closure(root: int, preds: dict[int, list[int]]) -> Iterator[int]:
+    """root, then every node with a data-flow path into root, each once."""
     seen = {root}
     stack = [root]
     while stack:
-        for p in preds[stack.pop()]:
+        node = stack.pop()
+        yield node
+        for p in preds[node]:
             if p not in seen:
                 seen.add(p)
                 stack.append(p)
-    return seen
 
 
 def _resolution_order(
-    preds: dict[int, list[int]],
-    reuse_ids: list[int],
-    targets: dict[int, int],
-    budget: int,
-) -> tuple[list[int], dict[int, int]]:
-    """Order reuse nodes so inner references expand before outer ones, and
-    size each one's copy: the plain nodes of its target's closure plus the
-    copy of each reuse node in that closure, capped one past the budget,
-    which a copy of that size already fails. Both depend only on the
-    target, so each distinct target's closure is walked once."""
-    reuse_set = set(reuse_ids)
-    walked: dict[int, tuple[set[int], int]] = {}  # target -> inner, plain size
-    inner_of: dict[int, set[int]] = {}
-    copy_size: dict[int, int] = {}  # plain nodes first, then the whole copy
-    for rid in reuse_ids:
-        target = targets[rid]
-        if target not in walked:
-            closure = _feeding_closure(target, preds)
-            inner = closure & reuse_set
-            walked[target] = inner, len(closure) - len(inner)
-        inner_of[rid], copy_size[rid] = walked[target]
-        if rid in inner_of[rid]:
-            raise ReferenceCycle([rid, rid])
-    # Each inner reuse node expands before the reuse node whose copy holds it.
-    dep_edges = [(other, rid) for rid, inner in inner_of.items() for other in inner]
+    edges: tuple[tuple[int, int], ...], targets: dict[int, int], preds: dict[int, list[int]]
+) -> list[int]:
+    """Order reuse nodes so inner references expand before outer ones.
+
+    One sort covers the plan (the keys of preds) and a vertex per reuse node
+    r, fed by r's target and feeding r. Plan nodes sort first, so the vertices
+    come out smallest first under reachability, as a sort of the reuse nodes
+    alone gives them. A plan with a cycle walks target closures to name it."""
+    first = max(preds) + 1
+    links = [(t, first + r) for r, t in targets.items()] + [(first + r, r) for r in targets]
     try:
-        ranks = _topological_order(reuse_set, dep_edges)
-    except CycleDetected as exc:
-        raise ReferenceCycle(exc.cycle) from exc
-    order = sorted(reuse_ids, key=ranks.__getitem__)
-    for rid in order:
-        copy_size[rid] = min(budget + 1, copy_size[rid] + sum(copy_size[r] for r in inner_of[rid]))
-    return order, copy_size
+        ranks = _topological_order([*preds, *(first + r for r in targets)], [*edges, *links])
+        return [v - first for v in ranks if v >= first]
+    except CycleDetected:
+        inner: dict[int, set[int]] = {}  # target -> the reuse nodes feeding it
+        for rid, target in targets.items():
+            if target not in inner:
+                inner[target] = targets.keys() & _feeding_closure(target, preds)
+            if rid in inner[target]:
+                raise ReferenceCycle([rid, rid]) from None
+        try:
+            _topological_order(targets, [(r, rid) for rid, t in targets.items() for r in inner[t]])
+        except CycleDetected as exc:
+            raise ReferenceCycle(exc.cycle) from None
+        raise  # not reached: both sorts find a cycle in the same plans
 
 
 # ---------------------------------------------------------------------------

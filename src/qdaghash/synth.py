@@ -125,6 +125,15 @@ def _exchange_node(rng: random.Random) -> _TemplateNode:
     )
 
 
+def _project_node(cols: tuple[tuple[str, str], ...]) -> _TemplateNode:
+    numeric, strings = _column_counts(cols)
+    return _TemplateNode(
+        "Project",
+        cols,
+        {"num_result_exprs": len(cols), "num_numeric_attrs": numeric, "num_string_attrs": strings},
+    )
+
+
 def _chain_template(rng: random.Random, node_range: tuple[int, int]) -> tuple[list[_TemplateNode], list[tuple[int, int]]]:
     """Scan -> alternating Filter/Project -> Exchange, one straight line."""
     n = rng.randint(*node_range)
@@ -135,19 +144,7 @@ def _chain_template(rng: random.Random, node_range: tuple[int, int]) -> tuple[li
                 _TemplateNode("Filter", (), {}, extra=f"(c{rng.randint(0, 2)} > {rng.randint(1, 999)})")
             )
         else:
-            cols = nodes[0].columns[: rng.randint(1, len(nodes[0].columns))]
-            numeric, strings = _column_counts(cols)
-            nodes.append(
-                _TemplateNode(
-                    "Project",
-                    cols,
-                    {
-                        "num_result_exprs": len(cols),
-                        "num_numeric_attrs": numeric,
-                        "num_string_attrs": strings,
-                    },
-                )
-            )
+            nodes.append(_project_node(nodes[0].columns[: rng.randint(1, len(nodes[0].columns))]))
     nodes.append(_exchange_node(rng))
     edges = [(i, i + 1) for i in range(len(nodes) - 1)]
     return nodes, edges
@@ -174,35 +171,17 @@ def _aggregate_template(rng: random.Random, node_range: tuple[int, int]) -> tupl
     edges.extend((top, union) for top in branch_tops)
 
     grouping = rng.randint(1, 3)
-    results = rng.randint(1, 4)
-    for op in ("HashAggregate", "Exchange", "HashAggregate", "Project"):
-        prev = len(nodes) - 1
-        if op == "HashAggregate":
-            nodes.append(
-                _TemplateNode(
-                    "HashAggregate",
-                    (),
-                    {"num_grouping_exprs": grouping, "num_result_exprs": results},
-                    extra=f"keys=[{', '.join(f'c{i}' for i in range(grouping))}]",
-                )
-            )
-        elif op == "Exchange":
-            nodes.append(_exchange_node(rng))
-        else:
-            cols = _make_columns(rng, 2, 4)
-            numeric, strings = _column_counts(cols)
-            nodes.append(
-                _TemplateNode(
-                    "Project",
-                    cols,
-                    {
-                        "num_result_exprs": len(cols),
-                        "num_numeric_attrs": numeric,
-                        "num_string_attrs": strings,
-                    },
-                )
-            )
-        edges.append((prev, len(nodes) - 1))
+    aggregate = _TemplateNode(
+        "HashAggregate",
+        (),
+        {"num_grouping_exprs": grouping, "num_result_exprs": rng.randint(1, 4)},
+        extra=f"keys=[{', '.join(f'c{i}' for i in range(grouping))}]",
+    )
+    # Partial and final aggregate around the shuffle, each fed by the node before.
+    tail = (aggregate, _exchange_node(rng), aggregate, _project_node(_make_columns(rng, 2, 4)))
+    for node in tail:
+        edges.append((len(nodes) - 1, len(nodes)))
+        nodes.append(node)
     return nodes, edges
 
 
@@ -239,19 +218,7 @@ def _join_template(rng: random.Random, node_range: tuple[int, int]) -> tuple[lis
         edges.extend(((left, join), (right, join)))
         left = join
 
-    cols = _make_columns(rng, 3, 6)
-    numeric, strings = _column_counts(cols)
-    nodes.append(
-        _TemplateNode(
-            "Project",
-            cols,
-            {
-                "num_result_exprs": len(cols),
-                "num_numeric_attrs": numeric,
-                "num_string_attrs": strings,
-            },
-        )
-    )
+    nodes.append(_project_node(_make_columns(rng, 3, 6)))
     edges.append((left, len(nodes) - 1))
     return nodes, edges
 

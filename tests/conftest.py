@@ -123,12 +123,14 @@ def nested_reuse_plan(levels: int, padding: int = 0) -> dict:
     return {"plan_id": "nested", "runtime_seconds": 1.0, "nodes": nodes, "edges": edges}
 
 
-def wide_reuse_plan(reuses: int, chain_length: int = 4) -> dict:
+def wide_reuse_plan(reuses: int, chain_length: int = 4, spread: bool = False) -> dict:
     """JSON plan object of S + 2*reuses nodes that expands to S + (S+1)*reuses,
     S being chain_length (at least 4).
 
     An S-node chain is reused `reuses` times; a ladder of Unions joins the
-    chain's top with every ReusedExchange in turn.
+    chain's top with every ReusedExchange in turn. With spread, ReusedExchange
+    i targets chain node i mod S instead of the top, so its copy has
+    i mod S + 1 nodes.
     """
     chain = (("Scan", "Scan t [a:int, b:string]"), ("Filter", "Filter (a > 1)"),
              *(("Filter", f"Filter (b > {i})") for i in range(chain_length - 4)),
@@ -137,10 +139,10 @@ def wide_reuse_plan(reuses: int, chain_length: int = 4) -> dict:
     nodes = [{"id": i, "operator": op, "fact": fact} for i, (op, fact) in enumerate(chain)]
     edges = [[i, i + 1] for i in range(len(chain) - 1)]
     top = len(chain) - 1
-    for _ in range(reuses):
+    for i in range(reuses):
         reuse, union = len(nodes), len(nodes) + 1
         nodes.append({"id": reuse, "operator": "ReusedExchange", "fact": "ReusedExchange",
-                      "properties": {"reuses": len(chain) - 1}})
+                      "properties": {"reuses": i % len(chain) if spread else len(chain) - 1}})
         nodes.append({"id": union, "operator": "Union", "fact": "Union"})
         edges += [[top, union], [reuse, union]]
         top = union

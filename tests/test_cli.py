@@ -90,10 +90,57 @@ def test_a_row_width_too_long_to_render_exits_2_and_names_it(tmp_path, capsys, n
     path.write_text(text)
     assert run_cli("fingerprint", path) == 2
     assert capsys.readouterr().err == (
-        "error: schema violation on field 'row_width': "
+        f"error: {path}: schema violation on field 'row_width': "
         "value has too many digits to render as text\n"
     )
     assert run_cli("fingerprint", path, "--approach", "ngram") == 0
+
+
+def test_every_plan_command_names_a_plan_refused_while_fingerprinting(tmp_path, capsys):
+    ok, wide = tmp_path / "ok.json", tmp_path / "wide.json"
+    for path, row_width in ((ok, "64"), (wide, HUGE_ROW_WIDTH)):
+        path.write_text(
+            f'{{"plan_id": "{path.stem}", "runtime_seconds": 2.0, "nodes": [{{"id": 0,'
+            f' "operator": "Scan", "fact": "Scan t", "properties": {{"row_width": {row_width}}}}}],'
+            ' "edges": []}'
+        )
+    index = tmp_path / "runs.qdx"
+    assert run_cli("index", "add", ok, "--index", index) == 0
+    before = index.read_bytes()
+    for argv in (
+        ("fingerprint", ok, wide),
+        ("index", "add", ok, wide, "--index", index),
+        ("match", wide, "--index", index),
+        ("predict", wide, "--index", index),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {wide}: schema violation on field 'row_width': "
+            "value has too many digits to render as text\n"
+        )
+    assert index.read_bytes() == before
+
+
+def test_a_missing_plan_path_exits_2_as_a_missing_corpus_does(tmp_path, plan_file, capsys):
+    missing = tmp_path / "missing.json"
+    index = tmp_path / "runs.qdx"
+    assert run_cli("index", "add", plan_file, "--index", index) == 0
+    before = index.read_bytes()
+    for argv in (
+        ("fingerprint", missing),
+        ("index", "add", plan_file, missing, "--index", index),
+        ("match", missing, "--index", index),
+        ("predict", missing, "--index", index),
+        ("eval", missing),
+    ):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: no such path: {missing}\n"
+    assert index.read_bytes() == before
+    # A missing index file is still an operational error.
+    for command in ("match", "predict"):
+        assert run_cli(command, plan_file, "--index", tmp_path / "none.qdx") == 1
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -1,6 +1,8 @@
 """Both plan formats, reuse expansion, and corpus loading."""
 
 import json
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -504,6 +506,50 @@ def test_many_reuses_of_one_target_are_refused_in_linear_time(tmp_path):
         load_plan_file(path)
     assert time.perf_counter() - start < 2.0
     assert (exc.value.input_nodes, exc.value.budget) == (24_000, 1_536_000)
+
+
+# On a 2-core Xeon VM, parse included, nested_reuse_plan(8000) (1.5 MB) is
+# refused in about 0.3 s and the spread plan (R = S = 8,000, 2.1 MB) in about
+# 1.0 s. A closure set per distinct target took 9 s and 1 GB for
+# nested_reuse_plan(4000), and 5 s for the spread plan.
+@pytest.mark.parametrize("name,bound_s", [("nested", 2.0), ("spread", 4.0)])
+def test_hostile_reuse_plans_are_refused_in_bounded_time(tmp_path, name, bound_s):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(
+        nested_reuse_plan(8000) if name == "nested"
+        else wide_reuse_plan(8000, chain_length=8000, spread=True)
+    ))
+    start = time.perf_counter()
+    with pytest.raises(ExpansionTooLarge):
+        load_plan_file(path)
+    assert time.perf_counter() - start < bound_s
+
+
+def test_nested_reuse_plan_is_refused_in_bounded_memory(tmp_path):
+    small, nested = tmp_path / "small.json", tmp_path / "nested.json"
+    small.write_text(json.dumps(nested_reuse_plan(1)))
+    nested.write_text(json.dumps(nested_reuse_plan(8000)))
+    # On Linux a process's ru_maxrss starts at its parent's RSS at fork, so
+    # the CLI runs in a grandchild, forked by a fresh interpreter.
+    launch = (
+        "import resource, subprocess, sys\n"
+        "done = subprocess.run([sys.executable, '-m', 'qdaghash', 'fingerprint', sys.argv[1]],"
+        " capture_output=True)\n"
+        "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+
+    def exit_code_and_peak(path):
+        done = subprocess.run([sys.executable, "-c", launch, str(path)],
+                              capture_output=True, text=True, timeout=60, check=True)
+        code, kib = map(int, done.stdout.split())
+        return code, kib * 1024  # ru_maxrss is in KiB on Linux
+
+    (small_code, small_peak), (code, peak) = exit_code_and_peak(small), exit_code_and_peak(nested)
+    assert (small_code, code) == (0, 2)
+    # On a 2-core Xeon VM the refusal peaked about 25 MiB above the small
+    # plan's 31 MiB. A closure set per distinct target grew the peak by 1 GB at
+    # nested_reuse_plan(4000) and quadratically in the level count.
+    assert peak - small_peak < 48 * 2**20, f"peak RSS grew {(peak - small_peak) / 2**20:.1f} MiB"
 
 
 # -- corpus loading ------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Synthetic corpus generator: determinism, banding, perturbation controls."""
 
 import filecmp
+import hashlib
+
+import pytest
 
 from qdaghash.fingerprint import FingerprintConfig, fingerprint_document
 from qdaghash.index import classify_runtime
@@ -25,6 +28,24 @@ def test_same_seed_is_byte_identical(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(dir_a, dir_b, names, shallow=False)
     assert mismatch == [] and errors == []
     assert len(match) == 15
+
+
+# sha256 over each file's name, a NUL byte and its contents, in name order.
+# A change to the generator must leave every file byte-identical: benchmark
+# inputs and the golden fingerprint fixture are drawn from it.
+@pytest.mark.parametrize("seed,rate,count,digest", [
+    (42, 0.1, 100, "dfde1601eb45024d578613e2909ced91a51861fc935b53d1af7cdde49af6094e"),
+    (7, 0.0, 20, "109fdbc9ad9af68c2361b0499dd010afdb34f7dc565aae5823ce89290c145929"),
+    (3, 0.5, 20, "91b296ad46a08dbb90fe0740b7d1dfa6ca99506e61cb426677ff25f9374e0157"),
+    (11, 1.0, 20, "9b1e06bd05cd0d7d900ef343a4a4d4345fd56d53699240a82be60dfbbfd4345e"),
+    (0, 0.25, 5, "b7877ba66bd4c0a2019e2d245ad2a6013503c31538523518de996c9f9dca665d"),
+])
+def test_generated_files_keep_their_bytes(tmp_path, seed, rate, count, digest):
+    generate_corpus(default_spec(seed=seed, counts=(count,) * 3, perturbation_rate=rate), tmp_path)
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_different_seeds_differ(tmp_path):
