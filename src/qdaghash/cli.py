@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_documents
-from .forkmap import fork_map
+from .forkmap import fork_map, worker_count
 from .index import Index, IndexHeader, IndexRecord, require_compatible
 from .ingest import PlanDocument, corpus_files, load_corpus, load_plan_file
 
@@ -121,55 +121,47 @@ def _config_from_args(
     return config
 
 
-def _load_plan(path: str | Path, require_runtime: bool = False) -> PlanDocument:
-    """load_plan_file, with the file named in any input error; a missing file
-    is one."""
-    try:
-        doc = load_plan_file(path)
-    except FileNotFoundError:
-        raise CorpusLoadError(f"no such path: {path}") from None
-    except InputError as exc:
-        raise CorpusLoadError(f"{path}: {exc}") from exc
-    if require_runtime and doc.runtime_seconds is None:
-        raise MissingRuntime(doc.plan_id)
-    return doc
-
-
-def _fingerprint_plan(
-    path: str | Path, config: FingerprintConfig, require_runtime: bool = False
-) -> FingerprintedPlan:
-    """The plan at path, loaded and fingerprinted alone, so that an error in
-    either step names the file."""
-    doc = _load_plan(path, require_runtime)
-    try:
-        (plan,) = fingerprint_documents([doc], config)
-    except InputError as exc:
-        raise CorpusLoadError(f"{path}: {exc}") from exc
-    return plan
-
-
 def _fingerprint_files(
     paths: Sequence[str | Path], config: FingerprintConfig, require_runtime: bool
-) -> list[FingerprintedPlan]:
-    """The plans at paths, fingerprinted in blocks: a fork_map share."""
-    docs = (_load_plan(path, require_runtime) for path in paths)
-    return list(fingerprint_documents(docs, config))
+) -> Iterator[FingerprintedPlan]:
+    """The plans at paths, in order, loaded and fingerprinted in blocks. The
+    first plan refused raises after the plans before it, naming its file; a
+    missing file is an input error, as is, with require_runtime, a plan whose
+    load shows no runtime."""
+    def docs() -> Iterator[PlanDocument]:
+        for path in paths:
+            doc = load_plan_file(path)
+            if require_runtime and doc.runtime_seconds is None:
+                raise MissingRuntime(doc.plan_id)
+            yield doc
+
+    done = 0
+    try:
+        for done, plan in enumerate(fingerprint_documents(docs(), config), start=1):
+            yield plan
+    except FileNotFoundError:
+        raise CorpusLoadError(f"no such path: {paths[done]}") from None
+    except MissingRuntime:
+        raise
+    except InputError as exc:
+        raise CorpusLoadError(f"{paths[done]}: {exc}") from exc
 
 
 def _fingerprint_batch(
     paths: Sequence[str], config: FingerprintConfig, require_runtime: bool
 ) -> Iterable[FingerprintedPlan]:
-    """The plans at paths in order, forked; if anything failed there, one at a
-    time here, so the first bad plan raises with the plans before it done."""
+    """The plans at paths in order, forked if the batch is large enough; if
+    nothing forked or anything failed there, from this process, so the first
+    bad plan raises with the plans before it done."""
     files = partial(_fingerprint_files, config=config, require_runtime=require_runtime)
-    return fork_map(files, paths) or (_fingerprint_plan(p, config, require_runtime) for p in paths)
+    return worker_count(len(paths)) > 1 and fork_map(files, paths) or files(paths)
 
 
 def _probe(args: argparse.Namespace) -> tuple[Index, FingerprintConfig, FingerprintedPlan]:
     """match's and predict's index, the config it fixes, and their plan."""
     index = Index.load(args.index)
     config = _config_from_args(args, index.header)
-    return index, config, _fingerprint_plan(args.plan, config)
+    return index, config, next(_fingerprint_files([args.plan], config, require_runtime=False))
 
 
 @contextlib.contextmanager

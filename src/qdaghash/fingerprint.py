@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .edges import edge_signatures, node_fields
+from .errors import InputError
 from .features import node_signatures_structured
 from .ingest import PlanDocument
 from .ngrams import NGramConfig, node_signatures_ngram
@@ -108,24 +109,37 @@ def fingerprint_documents(
 ) -> Iterator[FingerprintedPlan]:
     """Each doc's FingerprintedPlan, in order, fingerprinted a block at a time.
 
-    docs is read up to a block ahead, so an error in a plan (or in reading
-    docs) may come before the plans of its block.
+    Errors come as from a loop over docs, one plan at a time: an error in
+    reading docs after the plans of every doc before it. A block whose
+    kernels raise an InputError is fingerprinted again one plan at a time,
+    so its refused plan, too, comes after the plans before it.
     """
     config = config or FingerprintConfig()
-    remaining = iter(docs)
-    while block := _next_block(remaining):
-        fingerprints = _fingerprint_block([doc.graph for doc in block], config)
+    fingerprints: Iterable[Fingerprint128]
+    for block in _blocks(docs):
+        try:
+            fingerprints = _fingerprint_block([doc.graph for doc in block], config)
+        except InputError:
+            fingerprints = (fingerprint_graph(doc.graph, config) for doc in block)
         for doc, fp in zip(block, fingerprints):
             yield FingerprintedPlan(doc.plan_id, fp, doc.runtime_seconds)
 
 
-def _next_block(docs: Iterator[PlanDocument]) -> list[PlanDocument]:
-    """The next docs, up to the one whose facts bring the block to BLOCK_CHARS."""
+def _blocks(docs: Iterable[PlanDocument]) -> Iterator[list[PlanDocument]]:
+    """docs in blocks, each up to the doc whose facts bring it to BLOCK_CHARS.
+    An error in reading docs is raised after the block of the docs before it."""
     block: list[PlanDocument] = []
     chars = 0
-    for doc in docs:
-        block.append(doc)
-        chars += sum(len(node.fact) for node in doc.graph.nodes)
-        if chars >= BLOCK_CHARS:
-            break
-    return block
+    try:
+        for doc in docs:
+            block.append(doc)
+            chars += sum(len(node.fact) for node in doc.graph.nodes)
+            if chars >= BLOCK_CHARS:
+                yield block
+                block, chars = [], 0
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block

@@ -2,9 +2,9 @@
 
 fork_map(fn, items) is fn(items), spread over up to one process per usable
 CPU once the batch is large enough to repay a fork (PLANS_PER_WORKER items
-per worker). fn maps a sequence of items to the list of their results, in
-order, and an item's result must not depend on the items it comes with; so
-each process can work through its whole share at once, in blocks. The
+per worker). fn maps a sequence of items to an iterable of their results,
+in order, and an item's result must not depend on the items it comes with;
+so each process can work through its whole share at once, in blocks. The
 parent forks the workers, computes fn of its own share, then reads each
 worker's results back from one pipe and reaps it, so the results come back
 in input order whatever the count.
@@ -30,7 +30,7 @@ import contextlib
 import os
 import pickle
 import signal
-from typing import Any, BinaryIO, Callable, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -53,7 +53,7 @@ def worker_count(n_items: int) -> int:
     return max(1, min(usable_cpus(), n_items // PLANS_PER_WORKER))
 
 
-def fork_map(fn: Callable[[Sequence[T]], list[R]], items: Sequence[T]) -> list[R] | None:
+def fork_map(fn: Callable[[Sequence[T]], Iterable[R]], items: Sequence[T]) -> list[R] | None:
     """fn(items) in input order, or None if anything failed.
 
     With a single worker everything runs here.
@@ -85,7 +85,7 @@ def fork_map(fn: Callable[[Sequence[T]], list[R]], items: Sequence[T]) -> list[R
                 os.waitpid(pid, 0)
 
 
-def _fork(fn: Callable[[Sequence[T]], list[R]], share: Sequence[T]) -> tuple[int, BinaryIO]:
+def _fork(fn: Callable[[Sequence[T]], Iterable[R]], share: Sequence[T]) -> tuple[int, BinaryIO]:
     """Start a worker on share; returns its pid and the read end of its pipe."""
     read_fd, write_fd = os.pipe()
     try:
@@ -100,7 +100,7 @@ def _fork(fn: Callable[[Sequence[T]], list[R]], share: Sequence[T]) -> tuple[int
         code = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(fn(share), pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(list(fn(share)), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             code = 0

@@ -494,27 +494,20 @@ def _resolution_order(
 ) -> list[int]:
     """Order reuse nodes so inner references expand before outer ones.
 
-    One sort covers the plan (the keys of preds) and a vertex per reuse node
-    r, fed by r's target and feeding r. Plan nodes sort first, so the vertices
-    come out smallest first under reachability, as a sort of the reuse nodes
-    alone gives them. A plan with a cycle walks target closures to name it."""
+    One sort covers the plan (the keys of preds) and a vertex first + r per
+    reuse node r, fed by r's target and feeding r. Plan nodes sort first, so
+    the vertices come out smallest first under reachability, as a sort of the
+    reuse nodes alone gives them. The plan is acyclic, so a cycle passes
+    through vertices; ReferenceCycle names their reuse nodes in cycle order,
+    the first repeated at the end."""
     first = max(preds) + 1
     links = [(t, first + r) for r, t in targets.items()] + [(first + r, r) for r in targets]
     try:
         ranks = _topological_order([*preds, *(first + r for r in targets)], [*edges, *links])
-        return [v - first for v in ranks if v >= first]
-    except CycleDetected:
-        inner: dict[int, set[int]] = {}  # target -> the reuse nodes feeding it
-        for rid, target in targets.items():
-            if target not in inner:
-                inner[target] = targets.keys() & _feeding_closure(target, preds)
-            if rid in inner[target]:
-                raise ReferenceCycle([rid, rid]) from None
-        try:
-            _topological_order(targets, [(r, rid) for rid, t in targets.items() for r in inner[t]])
-        except CycleDetected as exc:
-            raise ReferenceCycle(exc.cycle) from None
-        raise  # not reached: both sorts find a cycle in the same plans
+    except CycleDetected as exc:
+        chain = [v - first for v in exc.cycle[:-1] if v >= first]
+        raise ReferenceCycle(chain + chain[:1]) from None
+    return [v - first for v in ranks if v >= first]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each reuse node, in dependency order, rebuilds the predecessor map and the
 edge list; a reuse of a reuse node follows a redirect to the copy the inner
-one made. Tests compare `ingest.resolve_reuse_references` against it.
+one made. Whether the references loop is decided from per-node closures;
+which cycle the error then names follows the stated rule in _named_cycle.
+Tests compare `ingest.resolve_reuse_references` against it.
 """
 
 from __future__ import annotations
@@ -34,16 +36,13 @@ def reference_resolve(doc: PlanDocument) -> PlanDocument:
         targets[rid] = raw
 
     reuse_set = set(reuse_ids)
-    dep_edges = []
-    for rid in reuse_ids:
-        inner = _closure(targets[rid], graph.edges) & reuse_set
-        if rid in inner:
-            raise ReferenceCycle([rid, rid])
-        dep_edges += [(other, rid) for other in inner]
+    dep_edges = [
+        (other, rid) for rid in reuse_ids for other in _closure(targets[rid], graph.edges) & reuse_set
+    ]
     try:
         ranks = _topological_order(reuse_set, dep_edges)
-    except CycleDetected as exc:
-        raise ReferenceCycle(exc.cycle) from exc
+    except CycleDetected:
+        raise ReferenceCycle(_named_cycle(graph, targets)) from None
 
     nodes = dict(by_id)
     edges = list(graph.edges)
@@ -70,6 +69,25 @@ def reference_resolve(doc: PlanDocument) -> PlanDocument:
         del nodes[rid]
 
     return replace(doc, graph=QDag(graph.id, tuple(nodes.values()), tuple(edges)))
+
+
+def _named_cycle(graph: QDag, targets: dict[int, int]) -> list[int]:
+    """The stated naming rule for a plan whose reuse references loop.
+
+    Sort the plan plus a vertex first + r per reuse node r (first is one past
+    the largest node id), fed by r's target and feeding r; the cycle that sort
+    reports, read as the reuse nodes of its vertices in order, the first
+    repeated at the end.
+    """
+    first = max(node.id for node in graph.nodes) + 1
+    vertices = [node.id for node in graph.nodes] + [first + r for r in targets]
+    links = [(t, first + r) for r, t in targets.items()] + [(first + r, r) for r in targets]
+    try:
+        _topological_order(vertices, [*graph.edges, *links])
+    except CycleDetected as exc:
+        named = [v - first for v in exc.cycle[:-1] if v >= first]
+        return named + named[:1]
+    raise AssertionError("the reuse nodes depend on each other in a cycle the sort does not see")
 
 
 def _closure(root: int, edges) -> set[int]:

@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import nested_reuse_plan, rewrite_header
 
+from qdaghash import cli
 from qdaghash.cli import main
 from qdaghash.fingerprint import Fingerprint128, FingerprintConfig
 from qdaghash.index import Index, IndexRecord
@@ -120,6 +123,65 @@ def test_every_plan_command_names_a_plan_refused_while_fingerprinting(tmp_path, 
             "value has too many digits to render as text\n"
         )
     assert index.read_bytes() == before
+
+
+def write_scan_plan(path, row_width="64", runtime=2.0):
+    runtime_field = "" if runtime is None else f'"runtime_seconds": {runtime}, '
+    path.write_text(
+        f'{{"plan_id": "{path.stem}", {runtime_field}"nodes": [{{"id": 0, "operator": "Scan",'
+        f' "fact": "Scan t", "properties": {{"row_width": {row_width}}}}}], "edges": []}}'
+    )
+    return path
+
+
+def test_an_unsupported_plan_file_type_is_named_with_its_path(tmp_path, capsys):
+    path = tmp_path / "scan.txt"
+    path.write_text("Scan t\n")
+    for argv in (("fingerprint", path), ("index", "add", path, "--index", tmp_path / "runs.qdx")):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: unsupported plan file type: scan.txt\n")
+
+
+def test_a_missing_runtime_is_reported_before_a_fingerprint_refusal(tmp_path, capsys):
+    wide = write_scan_plan(tmp_path / "wide.json", row_width=HUGE_ROW_WIDTH, runtime=None)
+    assert run_cli("index", "add", wide, "--index", tmp_path / "runs.qdx") == 2
+    assert capsys.readouterr() == ("", "error: document 'wide' has no runtime_seconds label\n")
+
+
+def test_a_batch_prints_the_plans_before_one_refused_while_fingerprinting(tmp_path, capsys):
+    # Four files run in one process.
+    ok1, ok2, ok3 = (write_scan_plan(tmp_path / f"ok{i}.json", row_width=str(i)) for i in (1, 2, 3))
+    bad = write_scan_plan(tmp_path / "bad.json", row_width=HUGE_ROW_WIDTH)
+    assert run_cli("fingerprint", ok1, ok2, bad, ok3) == 2
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()] == ["plan_id=ok1", "plan_id=ok2"]
+    assert err == (
+        f"error: {bad}: schema violation on field 'row_width': "
+        "value has too many digits to render as text\n"
+    )
+
+
+@pytest.mark.parametrize("refused", ["loading", "fingerprinting"])
+def test_no_plan_file_is_loaded_twice(tmp_path, monkeypatch, refused):
+    loads = Counter()
+    load_plan_file = cli.load_plan_file
+    monkeypatch.setattr(cli, "load_plan_file",
+                        lambda path: loads.update([Path(path).name]) or load_plan_file(path))
+    oks = [write_scan_plan(tmp_path / f"ok{i}.json") for i in (1, 2, 3)]
+    bad = tmp_path / "bad.json"
+    if refused == "loading":
+        bad.write_text("{nope")
+    else:
+        write_scan_plan(bad, row_width=HUGE_ROW_WIDTH)
+    assert run_cli("fingerprint", bad) == 2
+    assert loads == {"bad.json": 1}
+    for argv in (
+        ("fingerprint", *oks[:2], bad, oks[2]),
+        ("index", "add", *oks[:2], bad, oks[2], "--index", tmp_path / "runs.qdx"),
+    ):
+        loads.clear()
+        assert run_cli(*argv) == 2
+        assert loads["bad.json"] == 1 and max(loads.values()) == 1
 
 
 def test_a_missing_plan_path_exits_2_as_a_missing_corpus_does(tmp_path, plan_file, capsys):
@@ -296,6 +358,16 @@ def test_eval_bad_k_exits_2(corpus_dir, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_eval_of_a_good_corpus_with_a_bad_flag_prints_only_the_error(corpus_dir, capsys):
+    assert run_cli("eval", corpus_dir, "--ngram-n", "0") == 2
+    assert capsys.readouterr() == ("", "error: n must be >= 1, got 0\n")
+
+
+def test_eval_of_one_plan_file_is_too_small_a_corpus(plan_file, capsys):
+    assert run_cli("eval", plan_file) == 2
+    assert capsys.readouterr() == ("", "error: corpus of 1 document(s); at least 2 required\n")
+
+
 def test_eval_skips_a_directory_named_like_a_plan_file(corpus_dir, tmp_path, capsys):
     (corpus_dir / "sub.json").mkdir()
     assert run_cli("eval", corpus_dir, "--json") == 0
@@ -469,7 +541,7 @@ def test_gen_accepts_perturbation_bounds(tmp_path, rate):
 
 @pytest.mark.parametrize("approach", ["structured", "ngram"])
 @pytest.mark.parametrize("key", ["num_partitions", "row_width"])
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "-3"])
 def test_non_finite_property_reads_as_absent(tmp_path, capsys, approach, key, literal):
     nodes = ('[{"id": 0, "operator": "Scan", "fact": "Scan t"%s}, '
              '{"id": 1, "operator": "Exchange", "fact": "Exchange hashpartitioning(a)"}]')

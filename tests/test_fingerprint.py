@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import OPERATOR_POOL, dag_graphs, make_node
 from qdaghash import fingerprint, qdag
+from qdaghash.errors import MalformedDocument, SchemaViolation
 from qdaghash.fingerprint import (
     FingerprintConfig,
     fingerprint_document,
     fingerprint_documents,
     fingerprint_graph,
 )
+from qdaghash.ingest import PlanDocument
 from qdaghash.ngrams import NGramConfig
 from qdaghash.operators import operator_code
 from qdaghash.qdag import QDag
@@ -56,6 +58,37 @@ def test_blocks_give_the_golden_fingerprints(corpus42, approach):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[approach]
     for plan in fingerprint_documents(corpus42, FingerprintConfig(approach)):
         assert f"{plan.fingerprint.edge_hex} {plan.fingerprint.node_hex}" == golden[plan.plan_id]
+
+
+def plans_before(docs, error):
+    """The plan ids fingerprint_documents yields before it raises error."""
+    plan_ids = []
+    with pytest.raises(error):
+        for plan in fingerprint_documents(docs):
+            plan_ids.append(plan.plan_id)
+    return plan_ids
+
+
+@pytest.mark.parametrize("block_chars", [1, 3000, 1 << 30])
+def test_an_error_reading_docs_comes_after_the_plans_before_it(corpus42, monkeypatch, block_chars):
+    monkeypatch.setattr(fingerprint, "BLOCK_CHARS", block_chars)
+
+    def docs():
+        yield from corpus42[:12]
+        raise MalformedDocument("unreadable")
+
+    assert plans_before(docs(), MalformedDocument) == [doc.plan_id for doc in corpus42[:12]]
+
+
+@pytest.mark.parametrize("block_chars", [1, 3000, 1 << 30])
+def test_a_plan_the_block_kernels_refuse_comes_after_the_plans_before_it(
+    corpus42, monkeypatch, block_chars
+):
+    monkeypatch.setattr(fingerprint, "BLOCK_CHARS", block_chars)
+    # A row width whose power-of-two bucket has more digits than str() renders.
+    wide = QDag("wide", [make_node(0, "Scan", row_width=int("9" * 4300))], [])
+    docs = [*corpus42[:12], PlanDocument("wide", None, wide), *corpus42[12:20]]
+    assert plans_before(docs, SchemaViolation) == [doc.plan_id for doc in corpus42[:12]]
 
 
 def test_a_plan_is_sorted_topologically_twice(corpus42, monkeypatch):

@@ -8,11 +8,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nested_reuse_plan, wide_reuse_plan
 from qdaghash import ingest
+from qdaghash.cli import main
 from qdaghash.errors import (
     CorpusLoadError,
     CycleDetected,
@@ -122,6 +123,48 @@ def test_json_syntax_error_reports_position():
     assert "line 1" in str(exc.value)
 
 
+def node_with(**fields) -> dict:
+    return {**MINIMAL, "nodes": [{**MINIMAL["nodes"][0], **fields}]}
+
+
+# (file name, content, error, message) of each refusal of the two readers
+# that no other test reaches.
+READER_REFUSALS = [
+    ("array.json", [], MalformedDocument, "top level must be a JSON object"),
+    ("edges.json", {**MINIMAL, "edges": {}}, SchemaViolation,
+     "schema violation on field 'edges': must be an array"),
+    ("pair.json", {**MINIMAL, "edges": [[0, True]]}, SchemaViolation,
+     "schema violation on field 'edges[0]': must be a [source_id, target_id] pair"),
+    ("node.json", {**MINIMAL, "nodes": ["Scan t"]}, SchemaViolation,
+     "schema violation on field 'nodes[0]': must be an object"),
+    ("id.json", node_with(id=-1), SchemaViolation,
+     "schema violation on field 'nodes[0].id': must be a non-negative integer"),
+    ("operator.json", node_with(operator=""), SchemaViolation,
+     "schema violation on field 'nodes[0].operator': must be a non-empty string"),
+    ("fact.json", node_with(fact="Filter t"), SchemaViolation,
+     "schema violation on field 'nodes[0].fact': must begin with the operator name"),
+    ("properties.json", node_with(properties=[]), SchemaViolation,
+     "schema violation on field 'nodes[0].properties': must be an object"),
+    ("scalar.json", node_with(properties={"num_keys": [2]}), SchemaViolation,
+     "schema violation on field 'nodes[0].properties.num_keys': must be a scalar"),
+    ("runtime.plan", "-- runtime_seconds: soon\nScan t\n", MalformedDocument,
+     "header runtime_seconds is not a number: 'soon'"),
+    ("scan.txt", "Scan t\n", CorpusLoadError, "unsupported plan file type: scan.txt"),
+]
+
+
+@pytest.mark.parametrize("name,content,error,message", READER_REFUSALS,
+                         ids=[row[0] for row in READER_REFUSALS])
+def test_reader_refusals_are_typed_and_worded(tmp_path, capsys, name, content, error, message):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(error) as exc:
+        load_plan_file(path)
+    assert str(exc.value) == message
+    assert main(["fingerprint", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
 def test_unknown_property_keys_preserved_in_fact():
     doc = parse_plan_json(json.dumps({
         "plan_id": "q1",
@@ -225,6 +268,15 @@ def test_property_extraction_from_fact_tokens():
     scan = doc.graph.nodes[3]
     assert scan.properties["num_numeric_attrs"] == 2
     assert scan.properties["num_string_attrs"] == 1
+
+
+@pytest.mark.parametrize("line,properties", [
+    ("BroadcastExchange HashedRelationBroadcastMode(List(a#1))", {"broadcast_mode": "hashed-relation"}),
+    ("BroadcastExchange IdentityBroadcastMode", {"broadcast_mode": "identity"}),
+    ("HashAggregate group=[a, b] output=[a, b, c]", {"num_grouping_exprs": 2, "num_result_exprs": 3}),
+], ids=["hashed-relation", "identity", "group"])
+def test_text_line_properties(line, properties):
+    assert parse_plan_text(line).graph.nodes[0].properties == properties
 
 
 def test_text_then_json_round_trip_fingerprints_identically():
@@ -447,8 +499,27 @@ def expansion_outcome(resolve, doc):
     return graph.nodes, Counter(graph.edges)
 
 
+def reuse_example(nodes: list[tuple[str, int | None]], edges: list[tuple[int, int]]) -> PlanDocument:
+    """A plan of (operator, reuse target) nodes, ids in list order."""
+    plan_nodes = [PlanNode(i, op, f"{op} n{i}", {} if target is None else {"reuses": target})
+                  for i, (op, target) in enumerate(nodes)]
+    return PlanDocument("example", None, QDag("example", plan_nodes, edges))
+
+
+# Reuse nodes 0 and 2 each feed the other's target.
+MUTUAL_PAIR = [("ReusedExchange", 1), ("Exchange", None), ("ReusedExchange", 3), ("Exchange", None),
+               ("Union", None)]
+MUTUAL_PAIR_EDGES = [(2, 1), (0, 3), (1, 4), (3, 4)]
+
+
 @settings(max_examples=500, deadline=None)
 @given(reuse_dags())
+# A self-reference after a mutual pair, and two disjoint mutual pairs.
+@example(reuse_example(MUTUAL_PAIR + [("ReusedSubquery", 5)], MUTUAL_PAIR_EDGES + [(5, 4)]))
+@example(reuse_example(
+    MUTUAL_PAIR + [(op, None if target is None else target + 5) for op, target in MUTUAL_PAIR],
+    MUTUAL_PAIR_EDGES + [(u + 5, v + 5) for u, v in MUTUAL_PAIR_EDGES],
+))
 def test_reuse_expansion_equals_reference(doc):
     assert expansion_outcome(resolve_reuse_references, doc) == expansion_outcome(reference_resolve, doc)
 
@@ -523,6 +594,27 @@ def test_hostile_reuse_plans_are_refused_in_bounded_time(tmp_path, name, bound_s
     with pytest.raises(ExpansionTooLarge):
         load_plan_file(path)
     assert time.perf_counter() - start < bound_s
+
+
+def test_cyclic_spread_plan_is_refused_by_its_one_sort(tmp_path, monkeypatch):
+    # The spread plan with its last reuse node targeting itself. Naming the
+    # cycle by a closure walk per distinct target took 6.1-6.5 s of expansion
+    # on a 2-core Xeon VM; the sort's own cycle names it in under 0.1 s.
+    plan = wide_reuse_plan(8000, chain_length=8000, spread=True)
+    last = plan["nodes"][-2]
+    last["properties"]["reuses"] = last["id"]
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(plan))
+    sorts, walks = [], []
+    sort, walk = ingest._topological_order, ingest._feeding_closure
+    monkeypatch.setattr(ingest, "_topological_order", lambda *a: sorts.append(a) or sort(*a))
+    monkeypatch.setattr(ingest, "_feeding_closure", lambda *a: walks.append(a) or walk(*a))
+    start = time.perf_counter()
+    with pytest.raises(ReferenceCycle) as exc:
+        load_plan_file(path)
+    assert time.perf_counter() - start < 2.0
+    assert str(exc.value) == "reuse references form a cycle: 23998 -> 23998"
+    assert (len(sorts), len(walks)) == (1, 0)
 
 
 def test_nested_reuse_plan_is_refused_in_bounded_memory(tmp_path):
