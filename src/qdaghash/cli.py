@@ -17,11 +17,11 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CorpusLoadError, InputError, MissingRuntime, QdagHashError
+from .errors import CorpusLoadError, DuplicatePlanId, InputError, MissingRuntime, QdagHashError
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_documents
 from .forkmap import fork_map, worker_count
 from .index import Index, IndexHeader, IndexRecord, require_compatible
-from .ingest import PlanDocument, corpus_files, load_corpus, load_plan_file
+from .ingest import PlanDocument, corpus_files, load_plan_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,9 +125,9 @@ def _fingerprint_files(
     paths: Sequence[str | Path], config: FingerprintConfig, require_runtime: bool
 ) -> Iterator[FingerprintedPlan]:
     """The plans at paths, in order, loaded and fingerprinted in blocks. The
-    first plan refused raises after the plans before it, naming its file; a
-    missing file is an input error, as is, with require_runtime, a plan whose
-    load shows no runtime."""
+    first plan refused raises an input error naming its file, after the plans
+    before it: a missing file, one that does not load or fingerprint, and,
+    with require_runtime, one whose plan has no runtime."""
     def docs() -> Iterator[PlanDocument]:
         for path in paths:
             doc = load_plan_file(path)
@@ -141,14 +141,12 @@ def _fingerprint_files(
             yield plan
     except FileNotFoundError:
         raise CorpusLoadError(f"no such path: {paths[done]}") from None
-    except MissingRuntime:
-        raise
     except InputError as exc:
         raise CorpusLoadError(f"{paths[done]}: {exc}") from exc
 
 
 def _fingerprint_batch(
-    paths: Sequence[str], config: FingerprintConfig, require_runtime: bool
+    paths: Sequence[str | Path], config: FingerprintConfig, require_runtime: bool
 ) -> Iterable[FingerprintedPlan]:
     """The plans at paths in order, forked if the batch is large enough; if
     nothing forked or anything failed there, from this process, so the first
@@ -298,32 +296,26 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """eval_leave_one_out over the corpus, with its plans fingerprinted on
-    every usable CPU.
+    """The leave-one-out report over the corpus, its plans fingerprinted as
+    index add fingerprints them, on every usable CPU.
 
-    The forked plans are scored only when every file loaded and fingerprinted
-    with a runtime and their plan ids are distinct (the scorer refuses one plan
-    as the library does); otherwise the library evaluates the corpus again in
-    this process and decides the error. A bad corpus comes before a bad flag.
+    A missing corpus comes first, then a bad flag, before any plan file is
+    read; then the first file refused in name order, named as index add names
+    it; then a plan_id in more than one file, once every file has loaded.
     """
-    from .evaluate import (  # only eval needs it
-        eval_leave_one_out,
-        render_report_json,
-        render_report_text,
-        score_leave_one_out,
-    )
+    from .evaluate import render_report_json, render_report_text, score_leave_one_out
 
-    try:
-        config = _config_from_args(args)
-    except ValueError:
-        load_corpus(args.corpus)
-        raise
-    fingerprint_files = partial(_fingerprint_files, config=config, require_runtime=True)
-    plans = fork_map(fingerprint_files, corpus_files(args.corpus))
-    if plans is None or len({plan.plan_id for plan in plans}) < len(plans):
-        report = eval_leave_one_out(load_corpus(args.corpus), config, args.k)
-    else:
-        report = score_leave_one_out([IndexRecord.from_runtime(*plan) for plan in plans], args.k)
+    paths = corpus_files(args.corpus)
+    config = _config_from_args(args)
+    plans = list(_fingerprint_batch(paths, config, require_runtime=True))
+    if len({plan.plan_id for plan in plans}) < len(plans):
+        first_file: dict[str, str] = {}
+        for path, plan in zip(paths, plans):
+            if plan.plan_id in first_file:
+                raise DuplicatePlanId(plan.plan_id, [first_file[plan.plan_id], path.name])
+            first_file[plan.plan_id] = path.name
+    del paths  # the records reuse its memory: eval peaks in the scorer
+    report = score_leave_one_out([IndexRecord.from_runtime(*plan) for plan in plans], args.k)
     print(render_report_json(report) if args.json else render_report_text(report))
     return 0
 

@@ -68,7 +68,7 @@ def node_fields(graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]) -
         for node in graph.nodes
         for n in (node.id,)
     ]
-    return np.array(rows, np.uint64)
+    return np.array(rows, np.uint64).reshape(-1, 6)
 
 
 def edge_signatures(fields: np.ndarray, sizes: Sequence[int]) -> list[int]:
@@ -79,6 +79,7 @@ def edge_signatures(fields: np.ndarray, sizes: Sequence[int]) -> list[int]:
     order. An edgeless graph contributes one word per node with the node's
     features in the source fields and the target fields zero.
     """
+    sizes = np.asarray(sizes, np.int64)
     target = fields[:, :len(_TARGET_NAMES)]
     words = np.bitwise_or.reduce(np.minimum(target, _TARGET_LIMITS) << _TARGET_OFFSETS, axis=1)
     starts = np.cumsum(sizes) - sizes

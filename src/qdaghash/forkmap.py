@@ -35,10 +35,13 @@ from typing import Any, BinaryIO, Callable, Iterable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Forking, reading back and reaping one worker took about 3 ms from a 30 MB
-# CLI process on a 2-core Xeon VM, and a plan takes 0.4-2 ms to load and
-# fingerprint, so a worker's share of at least 64 plans saves far more time
-# than the worker costs.
+# A worker repays its fork, pickling and reaping only with a large share. On
+# a 2-core Xeon VM a plan of the seed-7 eval-loo corpus took 0.14 ms
+# (structured) to 0.3 ms (n-gram) to load and fingerprint in one process, and
+# index add with 2 workers, against one process (medians of alternating
+# calls, BENCH_25.json fork_crossover), was 4% slower to 2% faster at 64
+# plans per worker, within 2% at 96, 2-7% faster at 125 and 12-18% faster
+# at 250-450.
 PLANS_PER_WORKER = 64
 
 

@@ -136,5 +136,5 @@ def node_signatures_ngram(graphs: Sequence[QDag], cfg: NGramConfig) -> list[int]
     """N(G) of each graph: uniform-weight SimHash over every gram hash of
     every node."""
     hashes, grams = _gram_hashes([node.fact for graph in graphs for node in graph.nodes], cfg)
-    nodes = np.array([len(graph.nodes) for graph in graphs])
+    nodes = np.array([len(graph.nodes) for graph in graphs], np.int64)
     return simhash_runs(hashes, np.add.reduceat(grams, np.cumsum(nodes) - nodes))

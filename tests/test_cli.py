@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import nested_reuse_plan, rewrite_header
 
-from qdaghash import cli
+from qdaghash import cli, ingest
 from qdaghash.cli import main
 from qdaghash.fingerprint import Fingerprint128, FingerprintConfig
 from qdaghash.index import Index, IndexRecord
@@ -115,6 +115,7 @@ def test_every_plan_command_names_a_plan_refused_while_fingerprinting(tmp_path, 
         ("index", "add", ok, wide, "--index", index),
         ("match", wide, "--index", index),
         ("predict", wide, "--index", index),
+        ("eval", tmp_path),
     ):
         capsys.readouterr()
         assert run_cli(*argv) == 2
@@ -144,8 +145,11 @@ def test_an_unsupported_plan_file_type_is_named_with_its_path(tmp_path, capsys):
 
 def test_a_missing_runtime_is_reported_before_a_fingerprint_refusal(tmp_path, capsys):
     wide = write_scan_plan(tmp_path / "wide.json", row_width=HUGE_ROW_WIDTH, runtime=None)
-    assert run_cli("index", "add", wide, "--index", tmp_path / "runs.qdx") == 2
-    assert capsys.readouterr() == ("", "error: document 'wide' has no runtime_seconds label\n")
+    for argv in (("index", "add", wide, "--index", tmp_path / "runs.qdx"), ("eval", tmp_path)):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {wide}: document 'wide' has no runtime_seconds label\n"
+        )
 
 
 def test_a_batch_prints_the_plans_before_one_refused_while_fingerprinting(tmp_path, capsys):
@@ -165,8 +169,9 @@ def test_a_batch_prints_the_plans_before_one_refused_while_fingerprinting(tmp_pa
 def test_no_plan_file_is_loaded_twice(tmp_path, monkeypatch, refused):
     loads = Counter()
     load_plan_file = cli.load_plan_file
-    monkeypatch.setattr(cli, "load_plan_file",
-                        lambda path: loads.update([Path(path).name]) or load_plan_file(path))
+    for module in (cli, ingest):
+        monkeypatch.setattr(module, "load_plan_file",
+                            lambda path: loads.update([Path(path).name]) or load_plan_file(path))
     oks = [write_scan_plan(tmp_path / f"ok{i}.json") for i in (1, 2, 3)]
     bad = tmp_path / "bad.json"
     if refused == "loading":
@@ -178,10 +183,18 @@ def test_no_plan_file_is_loaded_twice(tmp_path, monkeypatch, refused):
     for argv in (
         ("fingerprint", *oks[:2], bad, oks[2]),
         ("index", "add", *oks[:2], bad, oks[2], "--index", tmp_path / "runs.qdx"),
+        ("eval", tmp_path),
     ):
         loads.clear()
         assert run_cli(*argv) == 2
         assert loads["bad.json"] == 1 and max(loads.values()) == 1
+
+
+def test_index_add_beside_a_lock_path_it_cannot_open_adds_without_the_lock(tmp_path, plan_file):
+    index = tmp_path / "runs.qdx"
+    (tmp_path / "runs.qdx.lock").mkdir()
+    assert run_cli("index", "add", plan_file, "--index", index) == 0
+    assert [record.plan_id for record in Index.load(index).records()] == ["demo"]
 
 
 def test_a_missing_plan_path_exits_2_as_a_missing_corpus_does(tmp_path, plan_file, capsys):
@@ -358,7 +371,11 @@ def test_eval_bad_k_exits_2(corpus_dir, capsys):
     assert "must be >= 1" in capsys.readouterr().err
 
 
-def test_eval_of_a_good_corpus_with_a_bad_flag_prints_only_the_error(corpus_dir, capsys):
+def test_eval_of_a_good_corpus_with_a_bad_flag_prints_only_the_error(
+    corpus_dir, monkeypatch, capsys
+):
+    for module in (cli, ingest):
+        monkeypatch.setattr(module, "load_plan_file", lambda path: pytest.fail(f"read {path}"))
     assert run_cli("eval", corpus_dir, "--ngram-n", "0") == 2
     assert capsys.readouterr() == ("", "error: n must be >= 1, got 0\n")
 

@@ -77,6 +77,12 @@ def test_unknown_categorical_string_lands_on_absent_sentinel():
     assert fv.values[2] == 0
 
 
+def test_a_boolean_property_lands_on_absent_sentinel():
+    # JSON true and false load as bool, which is an int subclass.
+    fv = extract_features(make_node(0, "Scan", row_width=True, num_partitions=False))
+    assert fv == extract_features(make_node(0, "Scan"))
+
+
 def test_canonical_string_hash():
     # A lone node's signature is its hash, of the "v0|v1|...|v12" string.
     scan = QDag("scan", [make_node(0, "Scan")], [])

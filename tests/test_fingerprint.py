@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from conftest import OPERATOR_POOL, dag_graphs, make_node
 from qdaghash import fingerprint, qdag
 from qdaghash.errors import MalformedDocument, SchemaViolation
+from qdaghash.edges import edge_signatures, node_fields
+from qdaghash.features import node_signatures_structured
 from qdaghash.fingerprint import (
+    Fingerprint128,
     FingerprintConfig,
     fingerprint_document,
     fingerprint_documents,
     fingerprint_graph,
 )
 from qdaghash.ingest import PlanDocument
-from qdaghash.ngrams import NGramConfig
+from qdaghash.ngrams import NGramConfig, node_signatures_ngram
 from qdaghash.operators import operator_code
 from qdaghash.qdag import QDag
 from qdaghash.synth import build_corpus, default_spec
@@ -168,3 +171,27 @@ def test_a_block_fingerprints_as_its_plans_do_alone(block):
     structured = fingerprint._fingerprint_block(block, FingerprintConfig("structured"))
     assert [fp.edge_sig for fp in structured] == [per_edge_oracle(graph) for graph in block]
     assert [fp.node_sig for fp in structured] == [structured_oracle(graph) for graph in block]
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: Fingerprint128(1 << 64, 0, "structured"),
+     "signature out of 64-bit range: 18446744073709551616"),
+    (lambda: Fingerprint128(0, -1, "ngram"), "signature out of 64-bit range: -1"),
+    (lambda: Fingerprint128(0, 0, "minhash"), "unknown approach 'minhash'"),
+    (lambda: FingerprintConfig("minhash"), "unknown approach 'minhash'"),
+], ids=["edge-past-64-bits", "negative-node", "fingerprint-approach", "config-approach"])
+def test_a_fingerprint_or_config_out_of_range_is_refused(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("signatures", [
+    lambda: edge_signatures(node_fields([], []), []),
+    lambda: node_signatures_structured([], node_fields([], [])),
+    lambda: node_signatures_ngram([], NGramConfig()),
+    lambda: fingerprint._fingerprint_block([], FingerprintConfig("structured")),
+    lambda: fingerprint._fingerprint_block([], FingerprintConfig("ngram")),
+], ids=["edge", "structured-node", "ngram-node", "structured-block", "ngram-block"])
+def test_an_empty_block_has_no_signatures(signatures):
+    assert signatures() == []

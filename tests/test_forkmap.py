@@ -10,11 +10,13 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
-from qdaghash import cli, evaluate, forkmap
+from qdaghash import cli, forkmap
 from qdaghash.cli import main
 from qdaghash.errors import EmptyFact, QdagHashError
 from qdaghash.evaluate import eval_leave_one_out
@@ -145,14 +147,6 @@ def edit_plan(path, **changes):
     path.write_text(json.dumps(obj))
 
 
-def library_eval_error(corpus):
-    """The error line of the in-process library path, load_corpus then
-    eval_leave_one_out, which `eval` must print."""
-    with pytest.raises(QdagHashError) as failure:
-        eval_leave_one_out(load_corpus(corpus))
-    return f"error: {failure.value}\n"
-
-
 def batch_outcomes(capsys, corpus, index, approach="structured"):
     """(exit code, stdout, stderr) of eval, fingerprint and index add over corpus,
     and the index file's sha256 afterwards."""
@@ -218,19 +212,23 @@ def test_bad_file_mid_batch_fails_as_in_one_process(batch150, tmp_path, monkeypa
     use_workers(monkeypatch, 2)
     assert outcomes() == serial
     (add_code, _, add_err), (eval_code, _, eval_err), (fp_code, fp_out, fp_err) = serial
-    assert add_code == 2 and bad.name in add_err and index.read_bytes() == before
-    assert eval_code == 2 and eval_err == library_eval_error(batch150)
-    assert "failed to load corpus" in eval_err
-    assert bad.name in eval_err and also_bad.name in eval_err
-    # A bad corpus is reported before a bad flag.
-    assert run(capsys, "eval", batch150, "--ngram-n", "0") == (2, "", eval_err)
+    assert add_code == 2 and add_err.startswith(f"error: {bad}: ")
+    assert index.read_bytes() == before
+    # eval names the first bad file in name order, as index add does.
+    assert (eval_code, eval_err) == (2, add_err)
+    # A bad flag is refused before the corpus is read.
+    assert run(capsys, "eval", batch150, "--ngram-n", "0") == (
+        2, "", "error: n must be >= 1, got 0\n"
+    )
     assert fp_code == 2 and bad.name in fp_err
     assert [line.split()[0] for line in fp_out.splitlines()] == [
         f"plan_id={plan.stem}" for plan in plans[:75]
     ]
 
 
-def test_runtime_past_the_float_range_fails_eval_as_in_one_process(batch150, monkeypatch, capsys):
+def test_runtime_past_the_float_range_fails_eval_as_in_one_process(
+    batch150, tmp_path, monkeypatch, capsys
+):
     plans = sorted(batch150.glob("*.json"))
     huge = plans[101]  # in the forked worker's share
     edit_plan(huge, runtime_seconds=10**400)
@@ -238,16 +236,14 @@ def test_runtime_past_the_float_range_fails_eval_as_in_one_process(batch150, mon
     serial = run(capsys, "eval", batch150)
     use_workers(monkeypatch, 2)
     assert run(capsys, "eval", batch150) == serial
-    assert serial == (
-        2, "", f"error: failed to load corpus:\n  {huge.name}: runtime_seconds must be finite, got inf\n"
-    )
-    assert serial[2] == library_eval_error(batch150)
+    assert serial == (2, "", f"error: {huge}: runtime_seconds must be finite, got inf\n")
+    assert run(capsys, "index", "add", *plans, "--index", tmp_path / "runs.qdx") == serial
 
 
 def spoil(batch, defect, monkeypatch):
+    """Spoil the batch with defect; returns the first refused file and its message."""
     plans = sorted(batch.glob("*.json"))
     if defect == "duplicate_plan_id":
-        # Reached before the unreadable file after it, so it wins over that.
         shutil.copy(plans[10], batch / f"{plans[100].stem}-copy.json")
         plans[120].write_text("{not json")
     if defect in ("missing_runtime", "fingerprint_error_then_missing_runtime"):
@@ -263,8 +259,12 @@ def spoil(batch, defect, monkeypatch):
                     raise EmptyFact(plan.plan_id)
                 yield plan
 
-        for module in (cli, evaluate):
-            monkeypatch.setattr(module, "fingerprint_documents", failing)
+        monkeypatch.setattr(cli, "fingerprint_documents", failing)
+        return plans[40], f"fact normalizes to the empty string: {plans[40].stem!r}"
+    if defect == "missing_runtime":
+        return plans[80], f"document '{plans[80].stem}' has no runtime_seconds label"
+    # An unreadable file comes first, although a repeated plan_id comes before it.
+    return plans[120], "line 1, column 2: Expecting property name enclosed in double quotes"
 
 
 @pytest.mark.parametrize("defect", [
@@ -276,20 +276,15 @@ def spoil(batch, defect, monkeypatch):
 def test_defect_mid_batch_fails_as_in_one_process(
     batch150, tmp_path, monkeypatch, capsys, defect
 ):
-    spoil(batch150, defect, monkeypatch)
+    refused, message = spoil(batch150, defect, monkeypatch)
     use_workers(monkeypatch, 1)
     serial = batch_outcomes(capsys, batch150, tmp_path / "runs.qdx")
-    use_workers(monkeypatch, 2)
-    assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
-    (eval_code, _, eval_err), _, (add_code, _, _), sha = serial
+    for workers in (2, 3):
+        use_workers(monkeypatch, workers, plans_per_worker=32)
+        assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
+    (eval_code, _, eval_err), _, (add_code, _, add_err), sha = serial
     assert eval_code == add_code == 2 and sha is None
-    expected = {
-        "duplicate_plan_id": "appears in more than one file",
-        "missing_runtime": "no runtime_seconds label",
-        "fingerprint_error": "fact normalizes to the empty string",
-        "fingerprint_error_then_missing_runtime": "no runtime_seconds label",
-    }[defect]
-    assert expected in eval_err and eval_err == library_eval_error(batch150)
+    assert eval_err == add_err == f"error: {refused}: {message}\n"
 
 
 def test_eval_of_plans_that_all_load_but_cannot_be_scored_fails_as_the_library(
@@ -301,13 +296,44 @@ def test_eval_of_plans_that_all_load_but_cannot_be_scored_fails_as_the_library(
     single.mkdir()
     shutil.copy(plans[0], single)
     for corpus, expected in (
-        (batch150, "appears in more than one file"),
-        (single, "at least 2 required"),
+        (batch150, f"error: plan_id '{plans[10].stem}' appears in more than one file:"
+                   f" ['{plans[10].name}', 'zz-copy.json']\n"),
+        (single, "error: corpus of 1 document(s); at least 2 required\n"),
     ):
+        with pytest.raises(QdagHashError) as library:
+            eval_leave_one_out(load_corpus(corpus))
+        assert f"error: {library.value}\n" == expected
         for workers in (1, 2):
             use_workers(monkeypatch, workers)
-            assert run(capsys, "eval", corpus) == (2, "", library_eval_error(corpus))
-        assert expected in library_eval_error(corpus)
+            assert run(capsys, "eval", corpus) == (2, "", expected)
+
+
+def test_an_eval_refusal_peaks_no_higher_than_the_eval(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_corpus(default_spec(seed=42, counts=(500, 500, 500)), corpus)  # gen --count 500
+    # On Linux a process's ru_maxrss starts at its parent's RSS at fork, so
+    # the CLI runs in a grandchild, forked by a fresh interpreter.
+    launch = (
+        "import resource, subprocess, sys\n"
+        "done = subprocess.run([sys.executable, '-m', 'qdaghash', 'eval', sys.argv[1]],"
+        " capture_output=True)\n"
+        "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+
+    def exit_code_and_peak():
+        done = subprocess.run([sys.executable, "-c", launch, str(corpus)],
+                              capture_output=True, text=True, timeout=120, check=True)
+        code, kib = map(int, done.stdout.split())
+        return code, kib * 1024  # ru_maxrss is in KiB on Linux
+
+    good_code, good_peak = exit_code_and_peak()
+    (corpus / "zz-broken.json").write_text("{not json")
+    code, peak = exit_code_and_peak()
+    assert (good_code, code) == (0, 2)
+    # On a 2-core Xeon VM the refusal peaked about 0.5 MiB below the eval's
+    # 32.7 MiB. Loading the whole corpus again to word the refusal peaked
+    # 12.6 MiB above it.
+    assert peak - good_peak <= 2**20, f"the refusal peaked {(peak - good_peak) / 2**20:.1f} MiB higher"
 
 
 def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch, capsys):
@@ -324,8 +350,7 @@ def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch
             fingerprinted.append(plan.plan_id)  # reached only in the parent
             yield plan
 
-    for module in (cli, evaluate):
-        monkeypatch.setattr(module, "fingerprint_documents", dying)
+    monkeypatch.setattr(cli, "fingerprint_documents", dying)
     use_workers(monkeypatch, 2)
     assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
     assert serial[0][0] == 0

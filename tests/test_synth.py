@@ -5,9 +5,11 @@ import hashlib
 
 import pytest
 
+from conftest import make_node
 from qdaghash.fingerprint import FingerprintConfig, fingerprint_document
 from qdaghash.index import classify_runtime
-from qdaghash.ingest import load_corpus
+from qdaghash.ingest import PlanDocument, load_corpus
+from qdaghash.qdag import QDag
 from qdaghash.synth import (
     build_corpus,
     default_spec,
@@ -125,6 +127,18 @@ def test_perturb_one_property_changes_exactly_one_node():
         }
         assert len(diff_keys) == 1
         assert before.fact != after.fact
+
+
+def test_perturb_one_property_spells_a_property_its_fact_does_not():
+    doc = PlanDocument("x", 1.0, QDag("x", [make_node(0, "Exchange", "Exchange", num_partitions=4)], []))
+    (node,) = perturb_one_property(doc).graph.nodes
+    assert (node.fact, node.properties) == ("Exchange num_partitions=8", {"num_partitions": 8})
+
+
+def test_perturb_one_property_refuses_a_plan_without_one():
+    doc = PlanDocument("x", 1.0, QDag("x", [make_node(0, "Scan", join_semantics="inner")], []))
+    with pytest.raises(ValueError, match="document 'x' has no perturbable properties"):
+        perturb_one_property(doc)
 
 
 def test_perturbation_is_deterministic_in_seed():
