@@ -14,13 +14,14 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusLoadError, DuplicatePlanId, InputError, MissingRuntime, QdagHashError
 from .fingerprint import APPROACHES, FingerprintConfig, FingerprintedPlan, fingerprint_documents
 from .forkmap import fork_map, worker_count
-from .index import Index, IndexHeader, IndexRecord, require_compatible
+from .index import Index, IndexHeader, IndexRecord, check_k, require_compatible
 from .ingest import PlanDocument, corpus_files, load_plan_file
 
 
@@ -148,11 +149,11 @@ def _fingerprint_files(
 def _fingerprint_batch(
     paths: Sequence[str | Path], config: FingerprintConfig, require_runtime: bool
 ) -> Iterable[FingerprintedPlan]:
-    """The plans at paths in order, forked if the batch is large enough; if
-    nothing forked or anything failed there, from this process, so the first
-    bad plan raises with the plans before it done."""
+    """The plans at paths in order: forked if the batch is large enough, then
+    here from the first plan a share did not return, so a bad plan raises in order."""
     files = partial(_fingerprint_files, config=config, require_runtime=require_runtime)
-    return worker_count(len(paths)) > 1 and fork_map(files, paths) or files(paths)
+    plans, done = fork_map(files, paths) if worker_count(len(paths)) > 1 else ([], 0)
+    return chain(plans, files(paths[done:]))
 
 
 def _probe(args: argparse.Namespace) -> tuple[Index, FingerprintConfig, FingerprintedPlan]:
@@ -299,14 +300,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     """The leave-one-out report over the corpus, its plans fingerprinted as
     index add fingerprints them, on every usable CPU.
 
-    A missing corpus comes first, then a bad flag, before any plan file is
-    read; then the first file refused in name order, named as index add names
-    it; then a plan_id in more than one file, once every file has loaded.
+    A missing corpus comes first, then a bad flag, --k last, before any plan
+    file is read; then the first file refused in name order, named as index
+    add names it; then a plan_id in more than one file, once all have loaded.
     """
     from .evaluate import render_report_json, render_report_text, score_leave_one_out
 
     paths = corpus_files(args.corpus)
     config = _config_from_args(args)
+    check_k(args.k)
     plans = list(_fingerprint_batch(paths, config, require_runtime=True))
     if len({plan.plan_id for plan in plans}) < len(plans):
         first_file: dict[str, str] = {}

@@ -13,8 +13,8 @@ above it, so an edge word is (w[u] << shift) + w[v], with w[n] node n's
 features packed into the target fields; the edge sum is then accumulated
 over the nodes, as (sum out_degree*w << shift) + sum in_degree*w.
 
-node_fields is the one walk over the nodes of a block of graphs: a uint64
-row per node. edge_signatures packs and saturates the target-field words of
+node_fields reads a block of graphs' node columns into a uint64 row per
+node. edge_signatures packs and saturates the target-field words of
 the whole block with np.minimum and shifts, and sums each graph's weighted
 words with np.add.reduceat; uint64 arrays wrap, which is the mod 2**64 sum.
 A single graph is a block of one.
@@ -22,12 +22,13 @@ A single graph is a block of one.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .operators import operator_code
-from .qdag import QDag, StructuralProfile
+from .qdag import _STRUCTURE, QDag
 
 EDGE_LAYOUT_VERSION = "el1"
 
@@ -57,18 +58,13 @@ _IN_DEGREE = _TARGET_NAMES.index("tgt_in_degree")
 _OUT_DEGREE = _TARGET_NAMES.index("tgt_out_degree")
 
 
-def node_fields(graphs: Sequence[QDag], profiles: Sequence[StructuralProfile]) -> np.ndarray:
+def node_fields(graphs: Sequence[QDag]) -> np.ndarray:
     """One uint64 row per node of the graphs, graph by graph in node order:
     the node's target fields in layout order (operator code first), then its
     depth, which the structured node signature weighs by."""
-    rows = [
-        (operator_code(node.operator_name), p.forward_order[n], p.backward_order[n],
-         p.in_degree[n], p.out_degree[n], p.depth[n])
-        for graph, p in zip(graphs, profiles)
-        for node in graph.nodes
-        for n in (node.id,)
-    ]
-    return np.array(rows, np.uint64).reshape(-1, 6)
+    columns = [list(map(operator_code, chain.from_iterable(g.operators for g in graphs)))]
+    columns += [list(chain.from_iterable(getattr(g, c) for g in graphs)) for c in _STRUCTURE]
+    return np.array(columns, np.uint64).T
 
 
 def edge_signatures(fields: np.ndarray, sizes: Sequence[int]) -> list[int]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigMismatch, CorpusTooSmall, MissingRuntime
 from .fingerprint import FingerprintConfig, fingerprint_documents
-from .index import ComplexityLabel, IndexRecord, _Columns, _classify_column, _two_step
+from .index import ComplexityLabel, IndexRecord, _Columns, _classify_column, _two_step, check_k
 from .ingest import Corpus
 
 GRANULARITY_NOTE = "per plan document (stage- vs query-level input is the caller's choice)"
@@ -108,8 +108,7 @@ def score_leave_one_out(records: Sequence[IndexRecord], k: int = 10) -> EvalRepo
     """
     if len(records) < 2:
         raise CorpusTooSmall(len(records), 2)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k(k)
     approach = records[0].fingerprint.approach
     for record in records:
         if record.fingerprint.approach != approach:

@@ -9,8 +9,8 @@ fingerprint identically.
 node_signatures_structured signs a block of plans with one hashing pass
 over the canonical strings of all their nodes. It takes the operator codes
 and depths from the block's node_fields rows and renders each canonical
-string directly (_canonical_string), filling only the slots present in the
-property bag, with no NodeFeatureVector per node; extract_features reads
+string from a property bag column (_canonical_string), filling only the
+slots present, with no NodeFeatureVector per node; extract_features reads
 its vector back from the same string.
 """
 
@@ -120,10 +120,7 @@ def extract_features(node: PlanNode) -> NodeFeatureVector:
 def node_signatures_structured(graphs: Sequence[QDag], fields: np.ndarray) -> list[int]:
     """N(G) of each graph: SimHash over its per-node feature hashes, each
     weighted by the node's depth, from the block's node_fields rows."""
-    nodes = [node for graph in graphs for node in graph.nodes]
-    hashes = string_hashes64([
-        _canonical_string(code, node.properties)
-        for code, node in zip(fields[:, 0].tolist(), nodes)
-    ])
+    properties = [bag for graph in graphs for bag in graph.properties]
+    hashes = string_hashes64(list(map(_canonical_string, fields[:, 0].tolist(), properties)))
     depths = fields[:, -1].astype(np.int64)
-    return simhash_runs(hashes, [len(graph.nodes) for graph in graphs], depths)
+    return simhash_runs(hashes, [len(graph.ids) for graph in graphs], depths)

@@ -5,13 +5,12 @@ either the structured (feature-engineered, depth-weighted) or the n-gram
 (fact-shingling, uniform-weight) algorithm.
 
 fingerprint_documents takes plans in blocks of about BLOCK_CHARS fact
-characters; only a block's plans are held at once. A block is profiled plan
-by plan, then its nodes are walked once (edges.node_fields) into flat
-per-node columns: operator code, the edge fields and depth. The edge
-signatures of the whole block come from those columns in one numpy pass, and
-so do the structured node hashes' codes and weights; the node hashes of a
-block are computed in one pass and every plan's SimHash is tallied from one
-bit matrix. fingerprint_document is the block of one.
+characters; only a block's plans are held at once. Validation put each
+plan's nodes into columns (qdag.QDag), and edges.node_fields stacks a block's
+columns into per-node rows of operator code, the edge fields and depth. The
+block's edge signatures come from those rows in one numpy pass, and so do the
+structured node hashes' codes and weights; its node hashes take one pass, its
+SimHashes one byte histogram. fingerprint_document is the block of one.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .errors import InputError
 from .features import node_signatures_structured
 from .ingest import PlanDocument
 from .ngrams import NGramConfig, node_signatures_ngram
-from .qdag import QDag, structural_profile
+from .qdag import QDag
 from .simhash import MASK64
 
 APPROACH_STRUCTURED = "structured"
@@ -83,9 +82,8 @@ BLOCK_CHARS = 4096
 
 
 def _fingerprint_block(graphs: Sequence[QDag], config: FingerprintConfig) -> list[Fingerprint128]:
-    profiles = [structural_profile(graph) for graph in graphs]
-    fields = node_fields(graphs, profiles)
-    edge_sigs = edge_signatures(fields, [len(graph.nodes) for graph in graphs])
+    fields = node_fields(graphs)
+    edge_sigs = edge_signatures(fields, [len(graph.ids) for graph in graphs])
     if config.approach == APPROACH_STRUCTURED:
         node_sigs = node_signatures_structured(graphs, fields)
     else:
@@ -133,7 +131,7 @@ def _blocks(docs: Iterable[PlanDocument]) -> Iterator[list[PlanDocument]]:
     try:
         for doc in docs:
             block.append(doc)
-            chars += sum(len(node.fact) for node in doc.graph.nodes)
+            chars += sum(map(len, doc.graph.facts))
             if chars >= BLOCK_CHARS:
                 yield block
                 block, chars = [], 0

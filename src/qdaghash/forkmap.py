@@ -6,19 +6,18 @@ per worker). fn maps a sequence of items to an iterable of their results,
 in order, and an item's result must not depend on the items it comes with;
 so each process can work through its whole share at once, in blocks. The
 parent forks the workers, computes fn of its own share, then reads each
-worker's results back from one pipe and reaps it, so the results come back
-in input order whatever the count.
+worker's results from one pipe and reaps it, so they come back in input
+order whatever the count.
 
 Shares are strided, worker w taking items w, w + W, w + 2W, ...: a corpus
 sorted by file name keeps one plan family together, and families differ in
 cost by more than 2x, so contiguous halves would leave one process waiting.
 
-The map is all or nothing. If fn raises on any share, a worker dies or a
-worker cannot be forked, fork_map returns None, and the caller runs its
-one-process path, which then decides the output and raises the original
-error where a serial loop would. A failure in the parent's own share kills
-the workers still running. No exception crosses a pipe: a worker whose fn
-raised just exits non-zero.
+A share's results end where fn raised on it or its worker died or was not
+forked. fork_map returns the results before the first missing one in input
+order (a worker with none before it is not waited for, but killed), and the
+caller's one-process path does the rest, raising the original error where a
+serial loop would. No exception crosses a pipe.
 
 Only the CLI calls this: a library must not fork a caller's process, which
 may hold threads or locks that a forked child cannot use.
@@ -30,7 +29,7 @@ import contextlib
 import os
 import pickle
 import signal
-from typing import Any, BinaryIO, Callable, Iterable, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -56,36 +55,41 @@ def worker_count(n_items: int) -> int:
     return max(1, min(usable_cpus(), n_items // PLANS_PER_WORKER))
 
 
-def fork_map(fn: Callable[[Sequence[T]], Iterable[R]], items: Sequence[T]) -> list[R] | None:
-    """fn(items) in input order, or None if anything failed.
-
-    With a single worker everything runs here.
-    """
+def fork_map(fn: Callable[[Sequence[T]], Iterable[R]], items: Sequence[T]) -> tuple[list[R], int]:
+    """fn(items) in input order as far as it got: the results of items[:done]
+    and done, which is len(items) unless one is missing. With a single
+    worker everything runs here."""
     workers = worker_count(len(items))
-    results: list[Any] = [None] * len(items)
-    unreaped: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), in share order
+    shares = [items[w::workers] for w in range(workers)]
+    forked: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), in share order
     try:
-        for w in range(1, workers):
-            unreaped.append(_fork(fn, items[w::workers]))
-        results[::workers] = fn(items[::workers])
-        for w in range(1, workers):
-            pid, pipe = unreaped[0]
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del unreaped[0]
-            if status != 0:  # a worker exits 0 only after writing all of its results
-                return None
-            results[w::workers] = pickle.loads(payload)
-        return results
-    except Exception:  # the caller's one-process rerun raises it again, in order
-        return None
+        with contextlib.suppress(OSError):  # a share not forked has no results
+            for share in shares[1:]:
+                forked.append(_fork(fn, share))
+        done: list[list[R]] = [_prefix(fn, shares[0])] + [[] for _ in shares[1:]]
+        # The first item in input order without a result, so far.
+        limit = len(items) if len(forked) == workers - 1 else len(forked) + 1
+        for w, share in enumerate(shares):
+            if 0 < w < limit:  # a worker with results before the limit
+                with contextlib.suppress(Exception):  # one that died sent nothing
+                    done[w] = pickle.load(forked[w - 1][1])
+            if len(done[w]) < len(share):
+                limit = min(limit, w + len(done[w]) * workers)
+        return [done[i % workers][i // workers] for i in range(limit)], limit
     finally:
-        for pid, pipe in unreaped:
+        for pid, pipe in forked:
             pipe.close()
             with contextlib.suppress(OSError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _prefix(fn: Callable[[Sequence[T]], Iterable[R]], share: Sequence[T]) -> list[R]:
+    """fn(share) up to the first item it raises on, which the caller raises again."""
+    results: list[R] = []
+    with contextlib.suppress(Exception):
+        results.extend(fn(share))
+    return results
 
 
 def _fork(fn: Callable[[Sequence[T]], Iterable[R]], share: Sequence[T]) -> tuple[int, BinaryIO]:
@@ -100,14 +104,12 @@ def _fork(fn: Callable[[Sequence[T]], Iterable[R]], share: Sequence[T]) -> tuple
     if pid == 0:
         # The worker leaves by os._exit alone: no atexit handlers, no flush of
         # stdio buffers it shares with the parent, no unwinding into the caller.
-        code = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(list(fn(share)), pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(_prefix(fn, share), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
-            code = 0
         finally:
-            os._exit(code)
+            os._exit(0)
     os.close(write_fd)
     return pid, open(read_fd, "rb")

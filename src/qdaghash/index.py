@@ -115,6 +115,11 @@ def classify_runtime(runtime_seconds: float) -> ComplexityLabel:
     return ComplexityLabel(bisect_right(LABEL_BOUNDS_SECONDS, check_runtime(runtime_seconds)))
 
 
+def check_k(k: int) -> None:  # the edge step keeps at least one candidate
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def _classify_column(runtime: np.ndarray) -> np.ndarray:
     """classify_runtime of each finite, non-negative runtime, as label values."""
     return np.searchsorted(LABEL_BOUNDS_SECONDS, runtime, side="right")
@@ -447,8 +452,7 @@ class Index:
     ) -> list[MatchResult]:
         """Two-step fuzzy match; returns up to top_n results (default k)."""
         self._require_approach(probe)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        check_k(k)
         if top_n is not None and top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {top_n}")
         columns = self._columns()

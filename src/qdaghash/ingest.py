@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from .errors import (
     UnresolvedReference,
 )
 from .features import PROPERTY_KEYS
-from .qdag import PlanNode, PropertyValue, QDag, _topological_order
+from .qdag import PlanNode, PropertyValue, QDag, _profile
 
 # Operators that stand in for a previously computed subgraph.
 REUSE_OPERATORS = frozenset({"ReusedExchange", "ReusedSubquery"})
@@ -46,6 +47,7 @@ EXPANSION_FACTOR = 64
 # Property keys kept in the structured bag; anything else stays visible
 # only through the fact string.
 _RECOGNIZED_KEYS = frozenset(PROPERTY_KEYS) | {"reuses"}
+_SCALARS = frozenset({str, int, float, bool})
 
 _DEFAULT_PLAN_ID = "plan"
 
@@ -116,7 +118,7 @@ def _decode_utf8(data: bytes) -> str:
 
 
 def parse_plan_json(data: bytes | str) -> PlanDocument:
-    """Parse one canonical JSON plan document."""
+    """Parse one canonical JSON plan, each node checked once into the graph's columns."""
     if isinstance(data, bytes):
         data = _decode_utf8(data)
     try:
@@ -140,61 +142,51 @@ def parse_plan_json(data: bytes | str) -> PlanDocument:
     raw_nodes = obj.get("nodes")
     if not isinstance(raw_nodes, list):
         raise SchemaViolation("nodes", "required array")
-    nodes = [_parse_json_node(item, i) for i, item in enumerate(raw_nodes)]
+    # json.loads makes exact types: type() tests keep bool out of int.
+    nodes = []
+    for i, item in enumerate(raw_nodes):
+        if type(item) is not dict:
+            raise SchemaViolation(f"nodes[{i}]", "must be an object")
+        node_id = item.get("id")
+        if type(node_id) is not int or node_id < 0:
+            raise SchemaViolation(f"nodes[{i}].id", "must be a non-negative integer")
+        operator = item.get("operator")
+        if type(operator) is not str or not operator:
+            raise SchemaViolation(f"nodes[{i}].operator", "must be a non-empty string")
+        fact = item.get("fact")
+        if type(fact) is not str or not fact:
+            raise SchemaViolation(f"nodes[{i}].fact", "must be a non-empty string")
+        if not fact.startswith(operator):
+            raise SchemaViolation(f"nodes[{i}].fact", "must begin with the operator name")
+        properties = item.get("properties", {})
+        if type(properties) is not dict:
+            raise SchemaViolation(f"nodes[{i}].properties", "must be an object")
+        if not (properties.keys() <= _RECOGNIZED_KEYS
+                and _SCALARS.issuperset(map(type, properties.values()))):
+            properties, extras = {}, []
+            for key, value in item["properties"].items():
+                if type(value) not in _SCALARS:
+                    raise SchemaViolation(f"nodes[{i}].properties.{key}", "must be a scalar")
+                canonical = key.strip().lower().replace(" ", "_").replace("-", "_")
+                if canonical in _RECOGNIZED_KEYS:
+                    properties[canonical] = value
+                else:
+                    extras.append(f"{key}={value}")
+            fact = " ".join([fact, *extras])  # where the n-gram approach sees them
+        if not fact.isascii() and _LONE_SURROGATE.search(fact):
+            raise SchemaViolation(f"nodes[{i}].fact", "must not contain a lone surrogate")
+        nodes.append((node_id, operator, fact, properties))
 
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
         raise SchemaViolation("edges", "must be an array")
-    edges = []
     for i, pair in enumerate(raw_edges):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(e, int) and not isinstance(e, bool) for e in pair)
-        ):
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
             raise SchemaViolation(f"edges[{i}]", "must be a [source_id, target_id] pair")
-        edges.append((pair[0], pair[1]))
 
-    graph = QDag(plan_id, nodes, edges)
+    columns = tuple(zip(*nodes)) or ((), (), (), ())
+    graph = QDag._from_columns(plan_id, *columns, tuple(map(tuple, raw_edges)))
     return PlanDocument(plan_id, obj.get("runtime_seconds"), graph)
-
-
-def _parse_json_node(item: object, i: int) -> PlanNode:
-    if not isinstance(item, dict):
-        raise SchemaViolation(f"nodes[{i}]", "must be an object")
-    node_id = item.get("id")
-    if not isinstance(node_id, int) or isinstance(node_id, bool) or node_id < 0:
-        raise SchemaViolation(f"nodes[{i}].id", "must be a non-negative integer")
-    operator = item.get("operator")
-    if not isinstance(operator, str) or not operator:
-        raise SchemaViolation(f"nodes[{i}].operator", "must be a non-empty string")
-    fact = item.get("fact")
-    if not isinstance(fact, str) or not fact:
-        raise SchemaViolation(f"nodes[{i}].fact", "must be a non-empty string")
-    if not fact.startswith(operator):
-        raise SchemaViolation(f"nodes[{i}].fact", "must begin with the operator name")
-
-    raw_props = item.get("properties", {})
-    if not isinstance(raw_props, dict):
-        raise SchemaViolation(f"nodes[{i}].properties", "must be an object")
-    properties: dict[str, PropertyValue] = {}
-    extras: list[str] = []
-    for key, value in raw_props.items():
-        if not isinstance(value, (str, int, float, bool)):
-            raise SchemaViolation(f"nodes[{i}].properties.{key}", "must be a scalar")
-        canonical = key.strip().lower().replace(" ", "_").replace("-", "_")
-        if canonical in _RECOGNIZED_KEYS:
-            properties[canonical] = value
-        else:
-            extras.append(f"{key}={value}")
-    if extras:
-        # Unrecognized properties stay visible to the n-gram approach
-        # through the fact string.
-        fact = fact + " " + " ".join(extras)
-    if _LONE_SURROGATE.search(fact):
-        raise SchemaViolation(f"nodes[{i}].fact", "must not contain a lone surrogate")
-
-    return PlanNode(node_id, operator, fact, properties)
 
 
 def render_plan_json(doc: PlanDocument, indent: int | None = None) -> str:
@@ -414,9 +406,9 @@ def resolve_reuse_references(doc: PlanDocument) -> PlanDocument:
     is copied.
     """
     graph = doc.graph
-    reuse_ids = [n.id for n in graph.nodes if n.operator_name in REUSE_OPERATORS]
-    if not reuse_ids:
+    if REUSE_OPERATORS.isdisjoint(graph.operators):
         return doc
+    reuse_ids = [i for i, op in zip(graph.ids, graph.operators) if op in REUSE_OPERATORS]
 
     nodes = graph.node_by_id()
     targets: dict[int, int] = {}
@@ -503,11 +495,11 @@ def _resolution_order(
     first = max(preds) + 1
     links = [(t, first + r) for r, t in targets.items()] + [(first + r, r) for r in targets]
     try:
-        ranks = _topological_order([*preds, *(first + r for r in targets)], [*edges, *links])
+        forward = _profile(vertices := [*preds, *(first + r for r in targets)], [*edges, *links])[0]
     except CycleDetected as exc:
         chain = [v - first for v in exc.cycle[:-1] if v >= first]
         raise ReferenceCycle(chain + chain[:1]) from None
-    return [v - first for v in ranks if v >= first]
+    return [v - first for _, v in sorted(zip(forward, vertices)) if v >= first]
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +519,26 @@ def load_plan_file(path: str | Path) -> PlanDocument:
 
 
 def corpus_files(path: str | Path) -> list[Path]:
-    """The regular .json and .plan files under a directory, sorted by name,
-    or [path]."""
+    """The regular .json and .plan files under a directory, sorted by name, or
+    [path]. As in pathlib, a suffix follows a first character; links are followed."""
     p = Path(path)
     if not p.exists():
         raise CorpusLoadError(f"no such path: {p}")
     if not p.is_dir():
         return [p]
-    files = sorted(
-        (f for f in p.iterdir() if f.suffix in (".json", ".plan") and f.is_file()),
-        key=lambda f: f.name,
-    )
-    if not files:
+    with os.scandir(p) as entries:
+        names = sorted(e.name for e in entries
+                       if e.name[1:].endswith((".json", ".plan")) and _is_file(e))
+    if not names:
         raise CorpusLoadError(f"no .json or .plan files under {p}")
-    return files
+    return list(map(p.joinpath, names))
+
+
+def _is_file(entry: os.DirEntry[str]) -> bool:
+    try:
+        return entry.is_file()
+    except OSError:  # a symlink loop, say: Path.is_file decides
+        return Path(entry.path).is_file()
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -12,7 +12,7 @@ normalized facts are joined and UTF-8-encoded once, every gram becomes a
 (start, length) byte span of that buffer, and cityhash64_spans hashes all
 spans at once. Each span is the UTF-8 encoding of its gram, so the hashes
 are those of string_hash64 on each gram. node_signatures_ngram makes one
-such pass for a block of plans.
+such pass for a block of plans, over the graphs' fact columns.
 """
 
 from __future__ import annotations
@@ -135,6 +135,6 @@ def _gram_hashes(facts: Sequence[str], cfg: NGramConfig) -> tuple[np.ndarray, np
 def node_signatures_ngram(graphs: Sequence[QDag], cfg: NGramConfig) -> list[int]:
     """N(G) of each graph: uniform-weight SimHash over every gram hash of
     every node."""
-    hashes, grams = _gram_hashes([node.fact for graph in graphs for node in graph.nodes], cfg)
-    nodes = np.array([len(graph.nodes) for graph in graphs], np.int64)
+    hashes, grams = _gram_hashes([fact for graph in graphs for fact in graph.facts], cfg)
+    nodes = np.array([len(graph.ids) for graph in graphs], np.int64)
     return simhash_runs(hashes, np.add.reduceat(grams, np.cumsum(nodes) - nodes))

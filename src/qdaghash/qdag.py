@@ -1,8 +1,12 @@
-"""QDAG data model plus the structural computations every fingerprint needs.
+"""QDAG data model, validated in one pass into index-aligned node columns.
 
 A QDag is a directed acyclic graph of plan operators. Edges follow the
 data-flow direction: a child operator points at the parent that consumes
 its output, so scans are sources and the final operator is a sink.
+
+Entry i of each node column describes the i-th node: id, operator, fact,
+properties and, from validation, forward and backward topological rank, in-
+and out-degree and depth. QDag.nodes builds PlanNodes only when it is read.
 
 All values are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -12,12 +16,16 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, DanglingEdge, DuplicateNodeId, EmptyGraph
 
 PropertyValue = int | float | str | bool
+
+# The structural columns of a QDag, in the order _profile returns them.
+_STRUCTURE = ("forward", "backward", "in_degree", "out_degree", "depth")
 
 
 @dataclass(frozen=True)
@@ -42,39 +50,55 @@ class PlanNode:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QDag:
-    """Validated DAG of plan operators. Construction rejects cyclic input."""
+    """Validated DAG of plan operators. Construction rejects cyclic input.
+
+    Validation adds the list columns forward, backward, in_degree, out_degree
+    and depth. Ranks break ties toward the smaller node id; depth is 1 for
+    sources and 1 + the longest edge-path from any source otherwise."""
 
     id: str
-    nodes: tuple[PlanNode, ...]
+    ids: tuple[int, ...]
+    operators: tuple[str, ...]
+    facts: tuple[str, ...]
+    properties: tuple[Mapping[str, PropertyValue], ...] = field(hash=False)  # dicts: no hash
     edges: tuple[tuple[int, int], ...]
-    # Set by validation, which sorts the graph; structural_profile reuses it.
-    _forward_order: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        id: str,
-        nodes: Iterable[PlanNode],
-        edges: Iterable[tuple[int, int]] = (),
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in edges))
-        object.__setattr__(self, "_forward_order", _validated_order(self))
+    def __init__(self, id: str, nodes: Iterable[PlanNode], edges: Iterable[tuple[int, int]] = ()):
+        nodes = tuple(nodes)
+        columns = (tuple(getattr(n, a) for n in nodes) for a in ("id", "operator_name", "fact"))
+        edges = tuple((int(u), int(v)) for u, v in edges)
+        properties = tuple(n.properties for n in nodes)
+        graph = QDag._from_columns(id, *columns, properties, edges)
+        self.__dict__.update(graph.__dict__, nodes=nodes)
+
+    @classmethod
+    def _from_columns(
+        cls, id: str, ids: tuple[int, ...], operators: tuple[str, ...], facts: tuple[str, ...],
+        properties: tuple[Mapping[str, PropertyValue], ...], edges: tuple[tuple[int, int], ...],
+    ) -> QDag:
+        """The graph of node columns whose nodes pass PlanNode's checks."""
+        graph = cls.__new__(cls)
+        # Frozen: the columns go straight into the instance dict.
+        columns = (id, ids, operators, facts, properties, edges, *_profile(ids, edges))
+        graph.__dict__.update(zip(_COLUMNS, columns))
+        return graph
+
+    @cached_property
+    def nodes(self) -> tuple[PlanNode, ...]:
+        return tuple(map(PlanNode, self.ids, self.operators, self.facts, self.properties))
 
     def node_by_id(self) -> dict[int, PlanNode]:
-        return {n.id: n for n in self.nodes}
+        return dict(zip(self.ids, self.nodes))
+
+
+_COLUMNS = (*(f.name for f in fields(QDag)), *_STRUCTURE)
 
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    """Per-node structural maps shared by the fingerprint algorithms.
-
-    forward_order is a topological rank on the graph, backward_order one on
-    the edge-reversed graph; depth is 1 for sources and 1 + the longest
-    edge-path from any source otherwise.
-    """
+    """A graph's structural columns as maps keyed by node id."""
 
     forward_order: Mapping[int, int]
     backward_order: Mapping[int, int]
@@ -83,82 +107,58 @@ class StructuralProfile:
     depth: Mapping[int, int]
 
 
-def _validated_order(graph: QDag) -> dict[int, int]:
-    """The forward topological order of a well-formed graph; raises otherwise."""
-    if not graph.nodes:
-        raise EmptyGraph()
-    seen: set[int] = set()
-    for node in graph.nodes:
-        if node.id in seen:
-            raise DuplicateNodeId(node.id)
-        seen.add(node.id)
-    for edge in graph.edges:
-        for endpoint in edge:
-            if endpoint not in seen:
-                raise DanglingEdge(endpoint, edge)
-    return _topological_order(seen, graph.edges)
-
-
 def structural_profile(graph: QDag) -> StructuralProfile:
-    """Compute all five structural maps for a validated graph.
-
-    Deterministic regardless of node/edge list order: ties in the
-    topological sorts break toward the smaller node id. One loop over the
-    edges gives the degrees and the predecessor lists; the backward sort
-    runs over those lists (the successors of the edge-reversed graph), and
-    depth is taken in the forward order, which is the order of its keys.
-    """
-    forward = graph._forward_order
-    in_degree = dict.fromkeys(forward, 0)
-    out_degree = dict.fromkeys(forward, 0)
-    preds: dict[int, list[int]] = {i: [] for i in forward}
-    for u, v in graph.edges:
-        out_degree[u] += 1
-        in_degree[v] += 1
-        preds[v].append(u)
-    backward = _topological_order(forward, (), preds, dict(out_degree))
-
-    depth: dict[int, int] = {}
-    for node_id in forward:
-        incoming = preds[node_id]
-        depth[node_id] = 1 + max(depth[p] for p in incoming) if incoming else 1
-
-    return StructuralProfile(forward, backward, in_degree, out_degree, depth)
+    return StructuralProfile(*(dict(zip(graph.ids, getattr(graph, c))) for c in _STRUCTURE))
 
 
-def _topological_order(
-    ids: Iterable[int],
-    edges: Iterable[tuple[int, int]],
-    successors: Mapping[int, list[int]] | None = None,
-    in_degree: dict[int, int] | None = None,
-) -> dict[int, int]:
-    """Kahn's algorithm with a min-heap on node id for the ready set.
+def _profile(ids: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[list[int], ...]:
+    """The forward rank, backward rank, in-degree, out-degree and depth of
+    each node, index-aligned with ids; raises if the graph is empty, repeats
+    a node id, has an edge to a missing node or has a cycle, in that order."""
+    n = len(ids)
+    if not n:
+        raise EmptyGraph()
+    index = dict(zip(ids, range(n)))
+    if len(index) < n:
+        seen: set[int] = set()  # the first id seen before, in node order
+        raise DuplicateNodeId(next(i for i in ids if i in seen or seen.add(i)))
+    successors: list[list[int]] = [[] for _ in range(n)]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    for edge in edges:
+        u, v = edge
+        iu, iv = index.get(u), index.get(v)
+        if iu is None or iv is None:
+            raise DanglingEdge(u if iu is None else v, edge)
+        successors[iu].append(iv)
+        predecessors[iv].append(iu)
+    in_degree, out_degree, depth = list(map(len, predecessors)), list(map(len, successors)), [1] * n
+    forward = _kahn(ids, index, successors, in_degree.copy(), depth)
+    backward = _kahn(ids, index, predecessors, out_degree.copy(), [1] * n)
+    rank = sorted(range(n), key=forward.__getitem__), sorted(range(n), key=backward.__getitem__)
+    return *rank, in_degree, out_degree, depth
 
-    Returns node -> rank, with the nodes in rank order. A caller that has
-    the graph's successor lists and in-degrees (one entry per node in ids)
-    passes them instead of edges; in_degree is then used up.
-    """
-    if successors is None:
-        in_degree = dict.fromkeys(ids, 0)
-        successors = {i: [] for i in in_degree}
-        for u, v in edges:
-            successors[u].append(v)
-            in_degree[v] += 1
 
-    ready = [i for i, d in in_degree.items() if d == 0]
+def _kahn(
+    ids: Sequence[int], index: Mapping[int, int], successors: list[list[int]], degree: list[int],
+    depth: list[int],
+) -> list[int]:
+    """Kahn's algorithm over node indices, with a min-heap on node id for
+    the ready set: the indices in rank order. degree (incoming edges) is used
+    up; depth, all 1 on entry, becomes 1 + the longest path into each node."""
+    ready = [ids[i] for i, d in enumerate(degree) if not d]
     heapq.heapify(ready)
-    order: dict[int, int] = {}
+    order: list[int] = []
     while ready:
-        node = heapq.heappop(ready)
-        order[node] = len(order)
-        for succ in successors[node]:
-            in_degree[succ] -= 1
-            if in_degree[succ] == 0:
-                heapq.heappush(ready, succ)
-
-    if len(order) < len(in_degree):
-        remaining = {i for i in in_degree if i not in order}
-        raise CycleDetected(_find_cycle(remaining, successors))
+        i = index[heapq.heappop(ready)]
+        order.append(i)
+        for succ in successors[i]:
+            depth[succ] = max(depth[succ], depth[i] + 1)
+            degree[succ] -= 1
+            if not degree[succ]:
+                heapq.heappush(ready, ids[succ])
+    if len(order) < len(ids):
+        remaining = {ids[i]: [ids[s] for s in successors[i]] for i, d in enumerate(degree) if d}
+        raise CycleDetected(_find_cycle(set(remaining), remaining))
     return order
 
 

@@ -4,7 +4,8 @@ Every input hash votes +weight on bit positions where it has a 1 and
 -weight where it has a 0; output bit i is 1 exactly when the tally for
 position i is strictly positive (ties go to 0). Similar input multisets
 therefore produce words at small Hamming distance. Weights are integers
-(node depths, or 1 per gram), so the tally is exact int64 arithmetic.
+(node depths, or 1 per gram), so the tally is exact. simhash_runs tallies
+runs in one np.bincount over (run, byte position, byte value), times a bit table.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ def string_hashes64(texts: Sequence[str]) -> np.ndarray:
     return cityhash64_spans(b"".join(encoded), np.cumsum(lengths) - lengths, lengths)
 
 
+# Row v: the bits of byte value v, least significant first. int64 keeps the
+# product out of BLAS, whose first call costs every process memory.
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+
+
 def simhash_runs(
     hashes: np.ndarray, sizes: Sequence[int], weights: np.ndarray | None = None
 ) -> list[int]:
@@ -49,23 +55,21 @@ def simhash_runs(
     scaling of its weights.
 
     Unchecked: hashes is a 1-D uint64 array, every size is at least 1, and
-    weights, if given, is an int64 array of values in [1, 2**31), which
-    keeps every int64 tally exact for fewer than 2**31 inputs.
+    weights, if given, is an int64 array of values in [1, 2**31) whose sum
+    over each run is below 2**53, where the weighted histogram is exact.
     """
-    # (n, 64) matrix; column i holds bit i of each hash.
-    bits = np.unpackbits(
-        hashes.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-    )
-    lengths = np.asarray(sizes, np.int64)
-    starts = np.cumsum(lengths) - lengths
-    ones = np.empty((len(lengths), 64), np.int64)  # per run and bit, the votes for a 1
-    for run, (start, end) in enumerate(zip(starts.tolist(), (starts + lengths).tolist())):
-        if weights is None:
-            ones[run] = bits[start:end].sum(axis=0, dtype=np.int64)
-        else:
-            ones[run] = weights[start:end] @ bits[start:end].astype(np.int64)
-    totals = lengths if weights is None else np.add.reduceat(weights, starts)
-    # tally_i = ones_i - (total - ones_i) > 0  <=>  2*ones_i > total
+    sizes = np.asarray(sizes, np.intp)
+    runs = len(sizes)
+    # Byte p of a hash in run j counts in bin (8j + p) * 256 + its value; keys
+    # are laid out byte position first, so each add is one long loop.
+    data = np.ascontiguousarray(hashes, "<u8").view(np.uint8).reshape(-1, 8).T
+    keys = np.add(data, np.repeat(np.arange(0, runs * 2048, 2048), sizes), dtype=np.intp, order="C")
+    keys += np.arange(0, 2048, 256)[:, None]
+    votes = None if weights is None else np.tile(weights, 8)
+    counts = np.bincount(keys.ravel(), votes, runs * 2048).astype(np.int64, copy=False)
+    totals = sizes if weights is None else np.add.reduceat(weights, np.cumsum(sizes) - sizes)
+    # Per run and bit, the votes for a 1; tally_i > 0  <=>  2*ones_i > total.
+    ones = (counts.reshape(-1, 256) @ _BYTE_BITS).reshape(runs, 64)
     signs = np.packbits(2 * ones > totals[:, None], axis=1, bitorder="little")
     return signs.view("<u8").ravel().tolist()
 

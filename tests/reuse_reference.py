@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from qdaghash.errors import CycleDetected, ExpansionTooLarge, ReferenceCycle, UnresolvedReference
 from qdaghash.ingest import EXPANSION_FACTOR, MAX_EXPANDED_NODES, REUSE_OPERATORS, PlanDocument
-from qdaghash.qdag import QDag, _topological_order
+from qdaghash.qdag import QDag, _profile
 
 
 def reference_resolve(doc: PlanDocument) -> PlanDocument:
@@ -40,7 +40,7 @@ def reference_resolve(doc: PlanDocument) -> PlanDocument:
         (other, rid) for rid in reuse_ids for other in _closure(targets[rid], graph.edges) & reuse_set
     ]
     try:
-        ranks = _topological_order(reuse_set, dep_edges)
+        ranks = dict(zip(reuse_ids, _profile(reuse_ids, dep_edges)[0]))
     except CycleDetected:
         raise ReferenceCycle(_named_cycle(graph, targets)) from None
 
@@ -83,7 +83,7 @@ def _named_cycle(graph: QDag, targets: dict[int, int]) -> list[int]:
     vertices = [node.id for node in graph.nodes] + [first + r for r in targets]
     links = [(t, first + r) for r, t in targets.items()] + [(first + r, r) for r in targets]
     try:
-        _topological_order(vertices, [*graph.edges, *links])
+        _profile(vertices, [*graph.edges, *links])
     except CycleDetected as exc:
         named = [v - first for v in exc.cycle[:-1] if v >= first]
         return named + named[:1]

@@ -380,6 +380,16 @@ def test_eval_of_a_good_corpus_with_a_bad_flag_prints_only_the_error(
     assert capsys.readouterr() == ("", "error: n must be >= 1, got 0\n")
 
 
+def test_eval_with_a_bad_k_reads_no_plan_file(corpus_dir, monkeypatch, capsys):
+    for module in (cli, ingest):
+        monkeypatch.setattr(module, "load_plan_file", lambda path: pytest.fail(f"read {path}"))
+    assert run_cli("eval", corpus_dir, "--k", "0") == 2
+    assert capsys.readouterr() == ("", "error: k must be >= 1, got 0\n")
+    # The fingerprint flags come first.
+    assert run_cli("eval", corpus_dir, "--k", "0", "--ngram-n", "0") == 2
+    assert capsys.readouterr() == ("", "error: n must be >= 1, got 0\n")
+
+
 def test_eval_of_one_plan_file_is_too_small_a_corpus(plan_file, capsys):
     assert run_cli("eval", plan_file) == 2
     assert capsys.readouterr() == ("", "error: corpus of 1 document(s); at least 2 required\n")

@@ -13,8 +13,7 @@ from qdaghash.simhash import hamming
 
 def sigs(*graphs):
     """The edge signature of each graph, the graphs signed as one block."""
-    profiles = [structural_profile(graph) for graph in graphs]
-    return edge_signatures(node_fields(graphs, profiles), [len(graph.nodes) for graph in graphs])
+    return edge_signatures(node_fields(graphs), [len(graph.nodes) for graph in graphs])
 
 
 SINGLE_SCAN = QDag("one", [make_node(0, "Scan")], [])

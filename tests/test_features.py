@@ -17,8 +17,7 @@ from test_simhash import simhash_oracle
 
 def sigs(*graphs):
     """The structured node signature of each graph, the graphs signed as one block."""
-    fields = node_fields(graphs, [structural_profile(graph) for graph in graphs])
-    return node_signatures_structured(graphs, fields)
+    return node_signatures_structured(graphs, node_fields(graphs))
 
 
 def node_hash(node):

@@ -1,6 +1,7 @@
 """Fingerprinting in blocks: fingerprint_documents against one plan at a time."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import OPERATOR_POOL, dag_graphs, make_node
-from qdaghash import fingerprint, qdag
+from qdaghash import fingerprint, forkmap, qdag
+from qdaghash.cli import main
 from qdaghash.errors import MalformedDocument, SchemaViolation
 from qdaghash.edges import edge_signatures, node_fields
 from qdaghash.features import node_signatures_structured
@@ -27,7 +29,8 @@ from qdaghash.synth import build_corpus, default_spec
 from test_edges import per_edge_oracle
 from test_features import structured_oracle
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden_fingerprints.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden_fingerprints.json"
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,32 @@ def test_blocks_give_the_golden_fingerprints(corpus42, approach):
         assert f"{plan.fingerprint.edge_hex} {plan.fingerprint.node_hex}" == golden[plan.plan_id]
 
 
+@pytest.fixture(scope="module")
+def check_set_files(tmp_path_factory):
+    """The golden check set written as the benchmark writes it: JSON files."""
+    sys.path.insert(0, str(ROOT))  # perfbench sits beside src, uninstalled
+    try:
+        from perfbench.inputs import write_check_set
+    finally:
+        sys.path.remove(str(ROOT))
+    out = tmp_path_factory.mktemp("check") / "check"
+    write_check_set(out)
+    return sorted(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("approach", ["structured", "ngram"])
+def test_the_cli_gives_the_golden_fingerprints_of_the_check_set_files(
+    check_set_files, monkeypatch, capsys, approach, workers
+):
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: workers)
+    assert main(["fingerprint", "--json", "--approach", approach, *map(str, check_set_files)]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[approach]
+    assert {line["plan_id"]: f"{line['edge_fp']} {line['node_fp']}" for line in lines} == golden
+    assert len(lines) == len(check_set_files) == 301
+
+
 def plans_before(docs, error):
     """The plan ids fingerprint_documents yields before it raises error."""
     plan_ids = []
@@ -95,15 +124,13 @@ def test_a_plan_the_block_kernels_refuse_comes_after_the_plans_before_it(
 
 
 def test_a_plan_is_sorted_topologically_twice(corpus42, monkeypatch):
-    # Once forward, when the graph is validated, and once backward, for its
-    # profile; the profile reuses the forward order of the validation.
+    # Forward and backward, both when the graph is validated into its node
+    # columns; fingerprinting reads the columns and sorts nothing more.
     calls = []
-    topological_order = qdag._topological_order
-    monkeypatch.setattr(
-        qdag, "_topological_order", lambda *args: calls.append(1) or topological_order(*args)
-    )
+    kahn = qdag._kahn
+    monkeypatch.setattr(qdag, "_kahn", lambda *args: calls.append(1) or kahn(*args))
     docs = build_corpus(default_spec(seed=42, counts=(5, 5, 5))).documents
-    assert len(calls) == len(docs)
+    assert len(calls) == 2 * len(docs)
     list(fingerprint_documents(docs))
     assert len(calls) == 2 * len(docs)
 
@@ -187,8 +214,8 @@ def test_a_fingerprint_or_config_out_of_range_is_refused(make, message):
 
 
 @pytest.mark.parametrize("signatures", [
-    lambda: edge_signatures(node_fields([], []), []),
-    lambda: node_signatures_structured([], node_fields([], [])),
+    lambda: edge_signatures(node_fields([]), []),
+    lambda: node_signatures_structured([], node_fields([])),
     lambda: node_signatures_ngram([], NGramConfig()),
     lambda: fingerprint._fingerprint_block([], FingerprintConfig("structured")),
     lambda: fingerprint._fingerprint_block([], FingerprintConfig("ngram")),

@@ -13,6 +13,8 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,8 @@ def test_no_fork_means_one_cpu(monkeypatch):
 
 def test_results_come_back_in_input_order(monkeypatch):
     use_workers(monkeypatch, 3, plans_per_worker=1)
-    results = forkmap.fork_map(lambda xs: [(x * x, os.getpid()) for x in xs], list(range(10)))
+    results, done = forkmap.fork_map(lambda xs: [(x * x, os.getpid()) for x in xs], list(range(10)))
+    assert done == 10
     assert [square for square, _ in results] == [x * x for x in range(10)]
     pids = [pid for _, pid in results]
     assert len(set(pids)) == 3 and pids[0] == os.getpid()
@@ -65,23 +68,28 @@ def test_results_come_back_in_input_order(monkeypatch):
 def test_one_worker_runs_in_process(monkeypatch):
     use_workers(monkeypatch, 1, plans_per_worker=1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    assert forkmap.fork_map(lambda xs: list(map(str, xs)), list(range(100))) == [
-        str(x) for x in range(100)
-    ]
+    assert forkmap.fork_map(lambda xs: list(map(str, xs)), list(range(100))) == (
+        [str(x) for x in range(100)], 100
+    )
 
 
-def test_an_item_that_raises_comes_back_none(monkeypatch):
+@pytest.mark.parametrize("bad,done", [
+    ((5, 6), 5),  # the worker's share fails first in input order
+    ((2, 5), 2),  # the parent's
+], ids=["worker-first", "parent-first"])
+def test_an_item_that_raises_ends_the_results_before_it(monkeypatch, bad, done):
     use_workers(monkeypatch, 2, plans_per_worker=1)
 
     def fn(xs):
-        if {4, 5} & set(xs):  # one in the parent's share, one in the worker's
-            raise ValueError(xs)
-        return xs
+        for x in xs:
+            if x in bad:  # one in the parent's share, one in the worker's
+                raise ValueError(x)
+            yield x
 
-    assert forkmap.fork_map(fn, list(range(8))) is None
+    assert forkmap.fork_map(fn, list(range(8))) == (list(range(done)), done)
 
 
-def test_a_killed_worker_leaves_its_share_none(monkeypatch):
+def test_a_killed_worker_ends_the_results_at_its_first_item(monkeypatch):
     use_workers(monkeypatch, 2, plans_per_worker=1)
     parent = os.getpid()
 
@@ -90,17 +98,17 @@ def test_a_killed_worker_leaves_its_share_none(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return xs
 
-    assert forkmap.fork_map(fn, list(range(6))) is None
+    assert forkmap.fork_map(fn, list(range(6))) == ([0], 1)
 
 
-def test_a_worker_that_cannot_fork_leaves_its_share_none(monkeypatch):
+def test_a_share_that_cannot_fork_ends_the_results_at_its_first_item(monkeypatch):
     use_workers(monkeypatch, 3, plans_per_worker=1)
 
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert forkmap.fork_map(list, list(range(6))) is None
+    assert forkmap.fork_map(list, list(range(6))) == ([0], 1)
 
 
 def test_a_failure_in_the_parent_kills_a_busy_worker(monkeypatch):
@@ -113,7 +121,8 @@ def test_a_failure_in_the_parent_kills_a_busy_worker(monkeypatch):
         raise ValueError(xs)
 
     started = time.monotonic()
-    assert forkmap.fork_map(fn, list(range(4))) is None
+    # Nothing before the parent's first item is missing, so no worker result is read.
+    assert forkmap.fork_map(fn, list(range(4))) == ([], 0)
     assert time.monotonic() - started < 5
     # The autouse _no_child_left_behind fixture checks that the worker was reaped.
 
@@ -336,6 +345,31 @@ def test_an_eval_refusal_peaks_no_higher_than_the_eval(tmp_path):
     assert peak - good_peak <= 2**20, f"the refusal peaked {(peak - good_peak) / 2**20:.1f} MiB higher"
 
 
+@pytest.mark.parametrize("share", ["parent", "worker"])
+def test_no_good_plan_before_a_refused_one_is_loaded_again(
+    batch150, tmp_path, monkeypatch, capsys, share
+):
+    plans = sorted(batch150.glob("*.json"))
+    refused = 100 if share == "parent" else 101  # share i % 2 of 2
+    plans[refused].write_text("{not json")
+    loads = Counter()  # this process's loads only: a worker counts in its own memory
+    load_plan_file = cli.load_plan_file
+    monkeypatch.setattr(cli, "load_plan_file",
+                        lambda path: loads.update([Path(path)]) or load_plan_file(path))
+    use_workers(monkeypatch, 2)
+    for argv in (
+        ("eval", batch150),
+        ("fingerprint", *plans),
+        ("index", "add", *plans, "--index", tmp_path / "runs.qdx"),
+    ):
+        loads.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith(f"error: {plans[refused]}: ")
+        # The parent's share up to the refusal, then a rerun from the refused file.
+        assert [loads[plan] for plan in plans[:refused]] == [1 - i % 2 for i in range(refused)]
+        assert loads[plans[refused]] == (2 if share == "parent" else 1)
+
+
 def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch, capsys):
     use_workers(monkeypatch, 1)
     serial = batch_outcomes(capsys, batch150, tmp_path / "runs.qdx")
@@ -354,10 +388,10 @@ def test_a_killed_worker_is_redone_in_the_parent(batch150, tmp_path, monkeypatch
     use_workers(monkeypatch, 2)
     assert batch_outcomes(capsys, batch150, tmp_path / "runs.qdx") == serial
     assert serial[0][0] == 0
-    # eval, fingerprint, index add: each parent did its own share, then all
-    # 150 plans in order in its one-process rerun.
+    # eval, fingerprint, index add: each parent did its own share, then, in
+    # its one-process rerun, every plan from the worker's first one on.
     plan_ids = [plan.stem for plan in sorted(batch150.glob("*.json"))]
-    assert fingerprinted == (plan_ids[::2] + plan_ids) * 3
+    assert fingerprinted == (plan_ids[::2] + plan_ids[1:]) * 3
 
 
 def test_single_plan_commands_never_fork(corpus42, tmp_path, monkeypatch, capsys):

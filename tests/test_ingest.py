@@ -17,12 +17,16 @@ from qdaghash.cli import main
 from qdaghash.errors import (
     CorpusLoadError,
     CycleDetected,
+    DanglingEdge,
+    DuplicateNodeId,
     DuplicatePlanId,
+    EmptyGraph,
     EmptyPlan,
     ExpansionTooLarge,
     IndentError,
     MalformedDocument,
     NegativeRuntime,
+    NonFiniteRuntime,
     QdagHashError,
     ReferenceCycle,
     SchemaViolation,
@@ -161,6 +165,72 @@ def test_reader_refusals_are_typed_and_worded(tmp_path, capsys, name, content, e
     with pytest.raises(error) as exc:
         load_plan_file(path)
     assert str(exc.value) == message
+    assert main(["fingerprint", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+TWO = {**MINIMAL, "nodes": [*MINIMAL["nodes"], {"id": 1, "operator": "Filter", "fact": "Filter x"}]}
+PAIR = "schema violation on field 'edges[{}]': must be a [source_id, target_id] pair"
+SURROGATE = "schema violation on field '{}': must not contain a lone surrogate"
+
+# (document, error, message): every check of the one JSON parse path, each
+# node checked once into the graph's columns, then the graph, then the runtime.
+JSON_REFUSALS = {
+    "node-not-object": ({**MINIMAL, "nodes": ["Scan t"]}, SchemaViolation,
+                        "schema violation on field 'nodes[0]': must be an object"),
+    "bool-id": (node_with(id=True), SchemaViolation,
+                "schema violation on field 'nodes[0].id': must be a non-negative integer"),
+    "negative-id": (node_with(id=-1), SchemaViolation,
+                    "schema violation on field 'nodes[0].id': must be a non-negative integer"),
+    "float-id": (node_with(id=0.0), SchemaViolation,
+                 "schema violation on field 'nodes[0].id': must be a non-negative integer"),
+    "empty-operator": (node_with(operator=""), SchemaViolation,
+                       "schema violation on field 'nodes[0].operator': must be a non-empty string"),
+    "fact-not-after-operator": (node_with(fact="Filter t"), SchemaViolation,
+                                "schema violation on field 'nodes[0].fact': must begin with the"
+                                " operator name"),
+    "properties-not-object": (node_with(properties=[]), SchemaViolation,
+                              "schema violation on field 'nodes[0].properties': must be an object"),
+    "non-scalar-value": (node_with(properties={"num_keys": [2]}), SchemaViolation,
+                         "schema violation on field 'nodes[0].properties.num_keys': must be a scalar"),
+    "surrogate-in-fact": (node_with(fact="Scan t\ud800"), SchemaViolation,
+                          SURROGATE.format("nodes[0].fact")),
+    "surrogate-in-plan-id": ({**MINIMAL, "plan_id": "q\ud800"}, SchemaViolation,
+                             SURROGATE.format("plan_id")),
+    "surrogate-in-unknown-property": (node_with(properties={"location": "s3://\udfff"}),
+                                      SchemaViolation, SURROGATE.format("nodes[0].fact")),
+    "surrogate-in-unknown-key": (node_with(properties={"x\ud800": 1}), SchemaViolation,
+                                 SURROGATE.format("nodes[0].fact")),
+    "short-edge": ({**TWO, "edges": [[0, 1], [0]]}, SchemaViolation, PAIR.format(1)),
+    # A string or an object of two items unpacks as a pair does.
+    "two-character-edge": ({**TWO, "edges": [[0, 1], "01"]}, SchemaViolation, PAIR.format(1)),
+    "two-key-edge": ({**TWO, "edges": [{"0": 0, "1": 1}]}, SchemaViolation, PAIR.format(0)),
+    "bool-endpoint": ({**TWO, "edges": [[0, True]]}, SchemaViolation, PAIR.format(0)),
+    "dangling-edge": ({**TWO, "edges": [[0, 1], [1, 7]]}, DanglingEdge,
+                      "edge (1, 7) references missing node id 7"),
+    "duplicate-id": ({**TWO, "nodes": MINIMAL["nodes"] * 2}, DuplicateNodeId, "duplicate node id 0"),
+    "cycle": ({**TWO, "edges": [[0, 1], [1, 0]]}, CycleDetected, "graph contains a cycle: 0 -> 1 -> 0"),
+    "no-nodes": ({**MINIMAL, "nodes": []}, EmptyGraph, "graph has no nodes"),
+    "string-runtime": ({**MINIMAL, "runtime_seconds": "soon"}, SchemaViolation,
+                       "schema violation on field 'runtime_seconds': must be a number"),
+    "runtime-past-float-range": ({**MINIMAL, "runtime_seconds": 10**400}, NonFiniteRuntime,
+                                 "runtime_seconds must be finite, got inf"),
+    "bad-edge-before-duplicate-id": ({**TWO, "nodes": MINIMAL["nodes"] * 2, "edges": [[0, 0.5]]},
+                                     SchemaViolation, PAIR.format(0)),
+    "duplicate-id-before-bad-runtime": ({**TWO, "nodes": MINIMAL["nodes"] * 2,
+                                         "runtime_seconds": -1}, DuplicateNodeId,
+                                        "duplicate node id 0"),
+}
+
+
+@pytest.mark.parametrize("document,error,message", JSON_REFUSALS.values(), ids=JSON_REFUSALS)
+def test_json_refusals_through_the_parse_and_the_cli(tmp_path, capsys, document, error, message):
+    text = json.dumps(document)
+    with pytest.raises(error) as exc:
+        parse_plan_json(text)
+    assert type(exc.value) is error and str(exc.value) == message
+    path = tmp_path / "plan.json"
+    path.write_text(text)
     assert main(["fingerprint", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
@@ -606,8 +676,8 @@ def test_cyclic_spread_plan_is_refused_by_its_one_sort(tmp_path, monkeypatch):
     path = tmp_path / "cyclic.json"
     path.write_text(json.dumps(plan))
     sorts, walks = [], []
-    sort, walk = ingest._topological_order, ingest._feeding_closure
-    monkeypatch.setattr(ingest, "_topological_order", lambda *a: sorts.append(a) or sort(*a))
+    sort, walk = ingest._profile, ingest._feeding_closure
+    monkeypatch.setattr(ingest, "_profile", lambda *a: sorts.append(a) or sort(*a))
     monkeypatch.setattr(ingest, "_feeding_closure", lambda *a: walks.append(a) or walk(*a))
     start = time.perf_counter()
     with pytest.raises(ReferenceCycle) as exc:
@@ -658,6 +728,22 @@ def test_directory_loads_sorted_by_filename(tmp_path):
             (tmp_path / name).write_text(f"-- plan_id: {pid}\nScan t\n")
     corpus = load_corpus(tmp_path)
     assert [d.plan_id for d in corpus.documents] == ["p1", "p2", "p3"]
+
+
+def test_corpus_files_select_as_pathlib_does(tmp_path):
+    for name in ("b.plan", "a.json", "Z.json", ".json", "a.JSON", "notes.txt"):
+        (tmp_path / name).write_text(json.dumps(MINIMAL))
+    (tmp_path / "x.json").mkdir()  # not a regular file
+    (tmp_path / "c.json").symlink_to(tmp_path / "a.json")  # followed
+    (tmp_path / "gone.json").symlink_to(tmp_path / "missing.json")
+    (tmp_path / "loop.json").symlink_to(tmp_path / "loop.json")
+    # Path's suffix rule: ".json" has none, and case counts; names sort as str.
+    expected = [tmp_path / name for name in ("Z.json", "a.json", "b.plan", "c.json")]
+    assert ingest.corpus_files(tmp_path) == expected
+    assert expected == sorted(
+        (f for f in tmp_path.iterdir() if f.suffix in (".json", ".plan") and f.is_file()),
+        key=lambda f: f.name,
+    )
 
 
 def test_malformed_file_reported_by_name(tmp_path):
