@@ -508,7 +508,7 @@ def _resolution_order(
 
 def load_plan_file(path: str | Path) -> PlanDocument:
     """Parse one .json or .plan file and expand its reuse references."""
-    p = Path(path)
+    p = path if isinstance(path, Path) else Path(path)
     if p.suffix == ".json":
         doc = parse_plan_json(p.read_bytes())
     elif p.suffix == ".plan":

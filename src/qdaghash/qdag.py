@@ -14,17 +14,16 @@ threads; every operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, DanglingEdge, DuplicateNodeId, EmptyGraph
 
 PropertyValue = int | float | str | bool
 
-# The structural columns of a QDag, in the order _profile returns them.
 _STRUCTURE = ("forward", "backward", "in_degree", "out_degree", "depth")
 
 
@@ -67,11 +66,10 @@ class QDag:
 
     def __init__(self, id: str, nodes: Iterable[PlanNode], edges: Iterable[tuple[int, int]] = ()):
         nodes = tuple(nodes)
-        columns = (tuple(getattr(n, a) for n in nodes) for a in ("id", "operator_name", "fact"))
+        columns = (tuple(getattr(node, name) for node in nodes)
+                   for name in ("id", "operator_name", "fact", "properties"))
         edges = tuple((int(u), int(v)) for u, v in edges)
-        properties = tuple(n.properties for n in nodes)
-        graph = QDag._from_columns(id, *columns, properties, edges)
-        self.__dict__.update(graph.__dict__, nodes=nodes)
+        self.__dict__.update(QDag._from_columns(id, *columns, edges).__dict__, nodes=nodes)
 
     @classmethod
     def _from_columns(
@@ -146,16 +144,18 @@ def _kahn(
     the ready set: the indices in rank order. degree (incoming edges) is used
     up; depth, all 1 on entry, becomes 1 + the longest path into each node."""
     ready = [ids[i] for i, d in enumerate(degree) if not d]
-    heapq.heapify(ready)
+    heapify(ready)
     order: list[int] = []
     while ready:
-        i = index[heapq.heappop(ready)]
+        i = index[heappop(ready)]
         order.append(i)
+        below = depth[i] + 1
         for succ in successors[i]:
-            depth[succ] = max(depth[succ], depth[i] + 1)
+            if depth[succ] < below:
+                depth[succ] = below
             degree[succ] -= 1
             if not degree[succ]:
-                heapq.heappush(ready, ids[succ])
+                heappush(ready, ids[succ])
     if len(order) < len(ids):
         remaining = {ids[i]: [ids[s] for s in successors[i]] for i, d in enumerate(degree) if d}
         raise CycleDetected(_find_cycle(set(remaining), remaining))
