@@ -13,11 +13,10 @@ Shares are strided, worker w taking items w, w + W, w + 2W, ...: a corpus
 sorted by file name keeps one plan family together, and families differ in
 cost by more than 2x, so contiguous halves would leave one process waiting.
 
-A share's results end where fn raised on it or its worker died or was not
-forked. fork_map returns the results before the first missing one in input
-order (a worker with none before it is not waited for, but killed), and the
-caller's one-process path does the rest, raising the original error where a
-serial loop would. No exception crosses a pipe.
+A share's results end where fn raised, or its worker died or was not forked.
+fork_map returns the results before the first missing one in input order (a
+worker with none before it is killed, not waited for); the caller's one-process
+path does the rest, raising the error where a serial loop would.
 
 Only the CLI calls this: a library must not fork a caller's process, which
 may hold threads or locks that a forked child cannot use.

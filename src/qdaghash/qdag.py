@@ -106,6 +106,7 @@ class StructuralProfile:
 
 
 def structural_profile(graph: QDag) -> StructuralProfile:
+    """The structural columns of a validated graph, as maps keyed by node id."""
     return StructuralProfile(*(dict(zip(graph.ids, getattr(graph, c))) for c in _STRUCTURE))
 
 

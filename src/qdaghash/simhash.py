@@ -43,7 +43,7 @@ def string_hashes64(texts: Sequence[str]) -> np.ndarray:
 
 # Row v: the bits of byte value v, least significant first. int64 keeps the
 # product out of BLAS, whose first call costs every process memory.
-_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1
+_BYTE_BITS = np.array([[value >> bit & 1 for bit in range(8)] for value in range(256)])
 
 
 def simhash_runs(

@@ -131,18 +131,22 @@ def node_with(**fields) -> dict:
     return {**MINIMAL, "nodes": [{**MINIMAL["nodes"][0], **fields}]}
 
 
-# (file name, content, error, message) of each refusal of the two readers
-# that no other test reaches.
+TWO = {**MINIMAL, "nodes": [*MINIMAL["nodes"], {"id": 1, "operator": "Filter", "fact": "Filter x"}]}
+PAIR = "schema violation on field 'edges[{}]': must be a [source_id, target_id] pair"
+SURROGATE = "schema violation on field '{}': must not contain a lone surrogate"
+NODE_ID = "schema violation on field 'nodes[0].id': must be a non-negative integer"
+
+# (file name, content, error, message) of each refusal of the two readers.
+# The JSON rows run every check of its one parse path, in its order: each
+# node checked once into the graph's columns, then the graph, then the runtime.
 READER_REFUSALS = [
     ("array.json", [], MalformedDocument, "top level must be a JSON object"),
     ("edges.json", {**MINIMAL, "edges": {}}, SchemaViolation,
      "schema violation on field 'edges': must be an array"),
-    ("pair.json", {**MINIMAL, "edges": [[0, True]]}, SchemaViolation,
-     "schema violation on field 'edges[0]': must be a [source_id, target_id] pair"),
+    ("pair.json", {**MINIMAL, "edges": [[0, True]]}, SchemaViolation, PAIR.format(0)),
     ("node.json", {**MINIMAL, "nodes": ["Scan t"]}, SchemaViolation,
      "schema violation on field 'nodes[0]': must be an object"),
-    ("id.json", node_with(id=-1), SchemaViolation,
-     "schema violation on field 'nodes[0].id': must be a non-negative integer"),
+    ("id.json", node_with(id=-1), SchemaViolation, NODE_ID),
     ("operator.json", node_with(operator=""), SchemaViolation,
      "schema violation on field 'nodes[0].operator': must be a non-empty string"),
     ("fact.json", node_with(fact="Filter t"), SchemaViolation,
@@ -154,6 +158,35 @@ READER_REFUSALS = [
     ("runtime.plan", "-- runtime_seconds: soon\nScan t\n", MalformedDocument,
      "header runtime_seconds is not a number: 'soon'"),
     ("scan.txt", "Scan t\n", CorpusLoadError, "unsupported plan file type: scan.txt"),
+    ("bool-id.json", node_with(id=True), SchemaViolation, NODE_ID),
+    ("float-id.json", node_with(id=0.0), SchemaViolation, NODE_ID),
+    ("surrogate-fact.json", node_with(fact="Scan t\ud800"), SchemaViolation,
+     SURROGATE.format("nodes[0].fact")),
+    ("surrogate-plan-id.json", {**MINIMAL, "plan_id": "q\ud800"}, SchemaViolation,
+     SURROGATE.format("plan_id")),
+    ("surrogate-property.json", node_with(properties={"location": "s3://\udfff"}),
+     SchemaViolation, SURROGATE.format("nodes[0].fact")),
+    ("surrogate-key.json", node_with(properties={"x\ud800": 1}), SchemaViolation,
+     SURROGATE.format("nodes[0].fact")),
+    ("short-pair.json", {**TWO, "edges": [[0, 1], [0]]}, SchemaViolation, PAIR.format(1)),
+    # A string or an object of two items unpacks as a pair does.
+    ("string-pair.json", {**TWO, "edges": [[0, 1], "01"]}, SchemaViolation, PAIR.format(1)),
+    ("object-pair.json", {**TWO, "edges": [{"0": 0, "1": 1}]}, SchemaViolation, PAIR.format(0)),
+    ("dangling.json", {**TWO, "edges": [[0, 1], [1, 7]]}, DanglingEdge,
+     "edge (1, 7) references missing node id 7"),
+    ("duplicate.json", {**TWO, "nodes": MINIMAL["nodes"] * 2}, DuplicateNodeId,
+     "duplicate node id 0"),
+    ("cycle.json", {**TWO, "edges": [[0, 1], [1, 0]]}, CycleDetected,
+     "graph contains a cycle: 0 -> 1 -> 0"),
+    ("no-nodes.json", {**MINIMAL, "nodes": []}, EmptyGraph, "graph has no nodes"),
+    ("string-runtime.json", {**MINIMAL, "runtime_seconds": "soon"}, SchemaViolation,
+     "schema violation on field 'runtime_seconds': must be a number"),
+    ("huge-runtime.json", {**MINIMAL, "runtime_seconds": 10**400}, NonFiniteRuntime,
+     "runtime_seconds must be finite, got inf"),
+    ("pair-before-duplicate.json", {**TWO, "nodes": MINIMAL["nodes"] * 2, "edges": [[0, 0.5]]},
+     SchemaViolation, PAIR.format(0)),
+    ("duplicate-before-runtime.json", {**TWO, "nodes": MINIMAL["nodes"] * 2, "runtime_seconds": -1},
+     DuplicateNodeId, "duplicate node id 0"),
 ]
 
 
@@ -164,73 +197,7 @@ def test_reader_refusals_are_typed_and_worded(tmp_path, capsys, name, content, e
     path.write_text(content if isinstance(content, str) else json.dumps(content))
     with pytest.raises(error) as exc:
         load_plan_file(path)
-    assert str(exc.value) == message
-    assert main(["fingerprint", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
-
-
-TWO = {**MINIMAL, "nodes": [*MINIMAL["nodes"], {"id": 1, "operator": "Filter", "fact": "Filter x"}]}
-PAIR = "schema violation on field 'edges[{}]': must be a [source_id, target_id] pair"
-SURROGATE = "schema violation on field '{}': must not contain a lone surrogate"
-
-# (document, error, message): every check of the one JSON parse path, each
-# node checked once into the graph's columns, then the graph, then the runtime.
-JSON_REFUSALS = {
-    "node-not-object": ({**MINIMAL, "nodes": ["Scan t"]}, SchemaViolation,
-                        "schema violation on field 'nodes[0]': must be an object"),
-    "bool-id": (node_with(id=True), SchemaViolation,
-                "schema violation on field 'nodes[0].id': must be a non-negative integer"),
-    "negative-id": (node_with(id=-1), SchemaViolation,
-                    "schema violation on field 'nodes[0].id': must be a non-negative integer"),
-    "float-id": (node_with(id=0.0), SchemaViolation,
-                 "schema violation on field 'nodes[0].id': must be a non-negative integer"),
-    "empty-operator": (node_with(operator=""), SchemaViolation,
-                       "schema violation on field 'nodes[0].operator': must be a non-empty string"),
-    "fact-not-after-operator": (node_with(fact="Filter t"), SchemaViolation,
-                                "schema violation on field 'nodes[0].fact': must begin with the"
-                                " operator name"),
-    "properties-not-object": (node_with(properties=[]), SchemaViolation,
-                              "schema violation on field 'nodes[0].properties': must be an object"),
-    "non-scalar-value": (node_with(properties={"num_keys": [2]}), SchemaViolation,
-                         "schema violation on field 'nodes[0].properties.num_keys': must be a scalar"),
-    "surrogate-in-fact": (node_with(fact="Scan t\ud800"), SchemaViolation,
-                          SURROGATE.format("nodes[0].fact")),
-    "surrogate-in-plan-id": ({**MINIMAL, "plan_id": "q\ud800"}, SchemaViolation,
-                             SURROGATE.format("plan_id")),
-    "surrogate-in-unknown-property": (node_with(properties={"location": "s3://\udfff"}),
-                                      SchemaViolation, SURROGATE.format("nodes[0].fact")),
-    "surrogate-in-unknown-key": (node_with(properties={"x\ud800": 1}), SchemaViolation,
-                                 SURROGATE.format("nodes[0].fact")),
-    "short-edge": ({**TWO, "edges": [[0, 1], [0]]}, SchemaViolation, PAIR.format(1)),
-    # A string or an object of two items unpacks as a pair does.
-    "two-character-edge": ({**TWO, "edges": [[0, 1], "01"]}, SchemaViolation, PAIR.format(1)),
-    "two-key-edge": ({**TWO, "edges": [{"0": 0, "1": 1}]}, SchemaViolation, PAIR.format(0)),
-    "bool-endpoint": ({**TWO, "edges": [[0, True]]}, SchemaViolation, PAIR.format(0)),
-    "dangling-edge": ({**TWO, "edges": [[0, 1], [1, 7]]}, DanglingEdge,
-                      "edge (1, 7) references missing node id 7"),
-    "duplicate-id": ({**TWO, "nodes": MINIMAL["nodes"] * 2}, DuplicateNodeId, "duplicate node id 0"),
-    "cycle": ({**TWO, "edges": [[0, 1], [1, 0]]}, CycleDetected, "graph contains a cycle: 0 -> 1 -> 0"),
-    "no-nodes": ({**MINIMAL, "nodes": []}, EmptyGraph, "graph has no nodes"),
-    "string-runtime": ({**MINIMAL, "runtime_seconds": "soon"}, SchemaViolation,
-                       "schema violation on field 'runtime_seconds': must be a number"),
-    "runtime-past-float-range": ({**MINIMAL, "runtime_seconds": 10**400}, NonFiniteRuntime,
-                                 "runtime_seconds must be finite, got inf"),
-    "bad-edge-before-duplicate-id": ({**TWO, "nodes": MINIMAL["nodes"] * 2, "edges": [[0, 0.5]]},
-                                     SchemaViolation, PAIR.format(0)),
-    "duplicate-id-before-bad-runtime": ({**TWO, "nodes": MINIMAL["nodes"] * 2,
-                                         "runtime_seconds": -1}, DuplicateNodeId,
-                                        "duplicate node id 0"),
-}
-
-
-@pytest.mark.parametrize("document,error,message", JSON_REFUSALS.values(), ids=JSON_REFUSALS)
-def test_json_refusals_through_the_parse_and_the_cli(tmp_path, capsys, document, error, message):
-    text = json.dumps(document)
-    with pytest.raises(error) as exc:
-        parse_plan_json(text)
     assert type(exc.value) is error and str(exc.value) == message
-    path = tmp_path / "plan.json"
-    path.write_text(text)
     assert main(["fingerprint", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
