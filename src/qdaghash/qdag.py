@@ -66,10 +66,10 @@ class QDag:
 
     def __init__(self, id: str, nodes: Iterable[PlanNode], edges: Iterable[tuple[int, int]] = ()):
         nodes = tuple(nodes)
-        columns = (tuple(getattr(node, name) for node in nodes)
-                   for name in ("id", "operator_name", "fact", "properties"))
+        columns = tuple(zip(*((n.id, n.operator_name, n.fact, n.properties) for n in nodes)))
         edges = tuple((int(u), int(v)) for u, v in edges)
-        self.__dict__.update(QDag._from_columns(id, *columns, edges).__dict__, nodes=nodes)
+        graph = QDag._from_columns(id, *(columns or ((),) * 4), edges)
+        self.__dict__.update(graph.__dict__, nodes=nodes)
 
     @classmethod
     def _from_columns(
